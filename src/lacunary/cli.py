@@ -259,7 +259,7 @@ def _hunt_value(item: dict, base: int, precision: int, where: str) -> tuple[Fixe
             raise SpecError(f"{where}.digits",
                             f"need at least {precision} digits for this precision")
         try:
-            mantissa = int(raw, base)
+            mantissa = series.parse_digits(raw, base)
         except ValueError as exc:
             raise SpecError(f"{where}.digits", f"not base-{base} digits") from exc
         return (FixedPointValue(base, mantissa, len(raw), Fraction(1, base ** len(raw))),

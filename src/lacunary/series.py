@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .arith import int_nth_root, is_exponent_image
 from .sets import ExponentSet, set_enumerate
@@ -232,9 +233,14 @@ def eval_series(spec: SeriesSpec, b: int, digits: int) -> FixedPointValue:
     n_cap = int_nth_root(scale // spec.i, spec.j)[0] if spec.i <= scale else 0
     members = set_enumerate(spec.set, n_cap) if n_cap >= 1 else []
 
-    mantissa = 0
+    # Horner over the ascending exponents: mantissa * b**gap + coeff per
+    # member, then one shift to the full scale.
+    mantissa = last = 0
     for n in members:
-        mantissa += spec.coeff(n) * b ** (scale - spec.exponent(n))
+        e = spec.exponent(n)
+        mantissa = mantissa * b ** (e - last) + spec.coeff(n)
+        last = e
+    mantissa *= b ** (scale - last)
 
     if spec.set.is_finite:
         all_members = (spec.set.members_up_to(spec.set.members[-1])
@@ -333,7 +339,9 @@ def fraction_sci(fr: Fraction, sig: int = 3) -> str:
     sign = "-" if fr < 0 else ""
     f = -fr if fr < 0 else fr
     num, den = f.numerator, f.denominator
-    e = len(str(num)) - len(str(den))
+    # Within one of floor(log10 f), from the bit lengths (30103 / 10**5 is
+    # log10 2 to five places); the loop below settles the exact exponent.
+    e = (num.bit_length() - den.bit_length()) * 30103 // 100000
     while True:
         shift = sig - 1 - e
         if shift >= 0:
@@ -365,31 +373,78 @@ def render_digits(v: FixedPointValue, count: int) -> DigitRendering:
         raise ValueError(f"digit rendering supports bases up to {len(_DIGIT_CHARS)}")
 
     b = v.base
-    step = b ** (v.scale - count)
+    power = cache(lambda k: b**k)
+    step = power(v.scale - count)
     m = abs(v.mantissa)
-    prefix = m // step
-
-    digits = []
-    p = prefix
-    for _ in range(count):
-        p, d = divmod(p, b)
-        digits.append(_DIGIT_CHARS[d])
-    digit_str = "".join(reversed(digits))
+    digit_str = _base_digits(m // step, b, count, power)
 
     if v.error_bound == 0:
         return DigitRendering(digit_str, ())
 
-    slack = v.error_bound * b**v.scale
-    spread = slack.numerator // slack.denominator + 1  # integer cover of the error
-    lo = (m - spread) // step
-    hi = (m + spread) // step
-    if lo < 0:
+    # Integer cover of the error: floor(error * b**scale) + 1.
+    error = v.error_bound
+    spread = error.numerator * power(v.scale) // error.denominator + 1
+    lo_int, lo_frac = divmod((m - spread) // step, power(count))
+    hi_int, hi_frac = divmod((m + spread) // step, power(count))
+    if lo_int != hi_int:  # also when value - error < 0, as hi_int >= 0
         return DigitRendering(digit_str, tuple(range(1, count + 1)))
+    lo_str = _base_digits(lo_frac, b, count, power)
+    hi_str = _base_digits(hi_frac, b, count, power)
+    pos = next((k for k, (x, y) in enumerate(zip(lo_str, hi_str)) if x != y), count)
+    return DigitRendering(digit_str, tuple(range(pos + 1, count + 1)))
 
-    uncertain = []
-    for pos in range(1, count + 1):
-        shift = b ** (count - pos)
-        if lo // shift != hi // shift:
-            uncertain = list(range(pos, count + 1))
-            break
-    return DigitRendering(digit_str, tuple(uncertain))
+
+# Digits converted by the plain divmod loop at the leaves of the recursion.
+_LEAF_DIGITS = 128
+
+
+def _base_digits(n: int, b: int, width: int, power) -> str:
+    """The `width` lowest base-b digits of n >= 0, most significant first.
+
+    Divide-and-conquer radix conversion (Brent & Zimmermann, Modern Computer
+    Arithmetic, section 1.7): split on b**(width // 2), convert both halves.
+    `power(k)` returns b**k from the caller's cache.
+    """
+    if width <= _LEAF_DIGITS:
+        out = []
+        for _ in range(width):
+            n, d = divmod(n, b)
+            out.append(_DIGIT_CHARS[d])
+        return "".join(reversed(out))
+    half = width // 2
+    high, low = divmod(n, power(half))
+    return _base_digits(high, b, width - half, power) + _base_digits(low, b, half, power)
+
+
+def parse_digits(text: str, b: int) -> int:
+    """int(text, b) for digit strings of any length.
+
+    Accepts exactly what int() accepts (surrounding whitespace, a sign, a
+    0b/0o/0x prefix in base 2/8/16, single underscores between digits) and
+    raises ValueError otherwise, but converts by divide and conquer, the
+    inverse of `_base_digits`, so CPython's int <-> str digit limit does not
+    apply.
+    """
+    body = text.strip()
+    sign = -1 if body.startswith("-") else 1
+    if body.startswith(("+", "-")):
+        body = body[1:]
+    prefix = {2: "0b", 8: "0o", 16: "0x"}.get(b)
+    if prefix and body[:2].lower() == prefix:
+        body = body[3:] if body[2:3] == "_" else body[2:]
+    groups = body.split("_")
+    if not all(groups):
+        raise ValueError(f"no base-{b} digits, or a misplaced underscore")
+    digits = "".join(groups)
+    for ch in set(digits):
+        int(ch, b)  # raises ValueError on a character that is no base-b digit
+    return sign * _parse_chunk(digits, b, cache(lambda k: b**k))
+
+
+def _parse_chunk(digits: str, b: int, power) -> int:
+    """The value of a string of valid base-b digits; splits like `_base_digits`."""
+    if len(digits) <= _LEAF_DIGITS:
+        return int(digits, b)
+    half = len(digits) // 2
+    high = _parse_chunk(digits[:-half], b, power)
+    return high * power(half) + _parse_chunk(digits[-half:], b, power)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+_DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
 
 def trial_is_prime(n: int) -> bool:
     if n < 2:
@@ -43,6 +45,49 @@ def sieve_squarefree(limit: int) -> list[int]:
 def series_partial_sum(b: int, i: int, j: int, members, coeff=lambda n: 1) -> Fraction:
     """Exact Fraction value of sum of coeff(n) / b**(i * n**j)."""
     return sum((Fraction(coeff(n), b ** (i * n**j)) for n in members), Fraction(0))
+
+
+def brute_series_mantissa(b: int, i: int, j: int, members, coeff, scale: int) -> int:
+    """sum of coeff(n) * b**(scale - i * n**j), one full power per term.
+
+    `members` must have i * n**j <= scale.
+    """
+    return sum(coeff(n) * b ** (scale - i * n**j) for n in members)
+
+
+def brute_digit_string(n: int, b: int, count: int) -> str:
+    """The `count` lowest base-b digits of n >= 0, one divmod per digit."""
+    digits = []
+    for _ in range(count):
+        n, d = divmod(n, b)
+        digits.append(_DIGIT_CHARS[d])
+    return "".join(reversed(digits))
+
+
+def brute_render_digits(v, count: int) -> tuple[str, tuple[int, ...]]:
+    """(digits, uncertain positions) of a fixed-point value, position by position.
+
+    `v` has the fields base, mantissa, scale and error_bound; a position is
+    uncertain when the prefixes through it differ between value - error and
+    value + error.
+    """
+    b = v.base
+    step = b ** (v.scale - count)
+    m = abs(v.mantissa)
+    digits = brute_digit_string(m // step, b, count)
+    if v.error_bound == 0:
+        return digits, ()
+    slack = v.error_bound * b**v.scale
+    spread = slack.numerator // slack.denominator + 1
+    lo = (m - spread) // step
+    hi = (m + spread) // step
+    if lo < 0:
+        return digits, tuple(range(1, count + 1))
+    for pos in range(1, count + 1):
+        shift = b ** (count - pos)
+        if lo // shift != hi // shift:
+            return digits, tuple(range(pos, count + 1))
+    return digits, ()
 
 
 def brute_pell_fundamental(D: int, x_cap: int = 10**6) -> tuple[int, int]:

@@ -8,6 +8,7 @@ import random
 import time
 from contextlib import contextmanager
 
+from lacunary.cli import EXIT_OK, run_job
 from lacunary.dependence import (
     build_counterexample,
     collision_witness,
@@ -38,7 +39,13 @@ from lacunary.sets import (
     squarefree,
 )
 
-from oracles import brute_equation_solutions, brute_pell_fundamental
+from oracles import (
+    brute_digit_string,
+    brute_equation_solutions,
+    brute_pell_fundamental,
+    brute_series_mantissa,
+    sieve_primes,
+)
 
 
 @contextmanager
@@ -202,3 +209,33 @@ def test_c9_refinement_soundness():
                         continue
                     gap = abs(vals[d1].to_fraction() - vals[d2].to_fraction())
                     assert gap < vals[d1].error_bound + vals[d2].error_bound or gap == 0
+
+
+def test_c10_digits_at_scale():
+    # Two dense positive terms: sum over n of b**-(n*n), plus twice the same
+    # sum over primes n.  (base, digits, count): a full 20000-digit render and
+    # the deep base-3 job whose work is the series evaluation.
+    jobs = [(10, 20000, 20000), (3, 100000, 64)]
+    terms = [{"i": 1, "j": 2, "set": {"kind": "naturals"}},
+             {"weight": 2, "i": 1, "j": 2, "set": {"kind": "primes"}}]
+    reports = []
+    with criterion(10, "20000 decimal digits and a deep base-3 100000-digit job", 5.0):
+        for b, digits, count in jobs:
+            spec = {"base": b, "digits": digits, "count": count, "terms": terms}
+            reports.append(run_job("digits", spec))
+    for (b, digits, count), (report, code) in zip(jobs, reports):
+        assert code == EXIT_OK
+        result = report["result"]
+        assert len(result["digits"]) == count and result["sign"] == "+"
+        # The true value lies in [m, m + 3] / b**depth: the omitted terms
+        # have mass 3 past position depth.
+        depth = digits + GUARD_DIGITS + 40
+        cap = math.isqrt(depth)
+        m = (brute_series_mantissa(b, 1, 2, range(1, cap + 1), lambda n: 1, depth)
+             + 2 * brute_series_mantissa(b, 1, 2, sieve_primes(cap), lambda n: 1, depth))
+        flagged = result["uncertain_positions"]
+        certain = flagged[0] - 1 if flagged else count
+        assert certain > count // 2
+        unit = b ** (depth - certain)
+        expected = {brute_digit_string(x // unit % b**certain, b, certain) for x in (m, m + 3)}
+        assert expected == {result["digits"][:certain]}

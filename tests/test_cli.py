@@ -1,6 +1,9 @@
 import json
+import math
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 from lacunary.cli import (
     EXIT_BUDGET,
@@ -9,6 +12,9 @@ from lacunary.cli import (
     EXIT_OK,
     main,
 )
+from lacunary.series import GUARD_DIGITS
+
+from oracles import brute_digit_string, series_partial_sum, sieve_primes
 
 ALPHA_TERM = {"weight": 1, "i": 1, "j": 2, "set": {"kind": "naturals"},
               "coeff": {"kind": "const", "value": 1}}
@@ -44,6 +50,48 @@ def test_eval_precision_override(tmp_path, capsys):
     code, out, _ = run_cli(["eval", "--spec", spec, "--precision", "25"], capsys)
     assert code == EXIT_OK
     assert json.loads(out)["spec"]["digits"] == 25
+
+
+PRIMES_TERM = {"weight": 2, "i": 1, "j": 2, "set": {"kind": "primes"}}
+
+
+def assert_certain_digits_match_oracle(result, key, b, digits):
+    """The unflagged digits of an ALPHA_TERM + PRIMES_TERM report are those of
+    the exact value, bracketed by two partial sums that go deeper than `digits`."""
+    depth = digits + GUARD_DIGITS + 40
+    cap = math.isqrt(depth)
+    low = (series_partial_sum(b, 1, 2, range(1, cap + 1))
+           + 2 * series_partial_sum(b, 1, 2, sieve_primes(cap)))
+    high = low + Fraction(3, b**depth)  # omitted terms: mass 3 beyond position depth
+    flagged = result["uncertain_positions"]
+    certain = flagged[0] - 1 if flagged else len(result[key])
+    assert certain > 0
+    scale = b**certain
+    expected = [brute_digit_string(x.numerator * scale // x.denominator % scale, b, certain)
+                for x in (low, high)]
+    assert expected == [result[key][:certain]] * 2
+    assert result["sign"] == "+"
+
+
+def test_eval_past_the_int_str_limit(tmp_path, capsys):
+    # The error bound 3.33e-5017 has a denominator of 5000+ decimal digits.
+    spec = write_spec(tmp_path, {"base": 10, "digits": 5000,
+                                 "terms": [ALPHA_TERM, PRIMES_TERM]})
+    code, out, err = run_cli(["eval", "--spec", spec], capsys)
+    assert code == EXIT_OK, err
+    result = json.loads(out)["result"]
+    assert result["error_bound"] == "3.33e-5017"
+    assert_certain_digits_match_oracle(result, "value_digits", 10, 5000)
+
+
+def test_deep_digits_job_past_the_int_str_limit(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"base": 2, "digits": 20000, "count": 64,
+                                 "terms": [ALPHA_TERM, PRIMES_TERM]})
+    code, out, err = run_cli(["digits", "--spec", spec], capsys)
+    assert code == EXIT_OK, err
+    result = json.loads(out)["result"]
+    assert len(result["digits"]) == 64
+    assert_certain_digits_match_oracle(result, "digits", 2, 20000)
 
 
 def test_digits_job_with_finite_note(tmp_path, capsys):
@@ -163,6 +211,22 @@ def test_hunt_literal_digit_values(tmp_path, capsys):
     code, out, _ = run_cli(["hunt", "--spec", spec], capsys)
     assert code in (EXIT_OK, EXIT_NOT_FOUND)
     assert json.loads(out)["spec"]["values"][1]["digits"] == digit_str
+
+
+def test_hunt_literal_past_the_int_str_limit(tmp_path, capsys):
+    rng = random.Random(7)
+    digit_str = "".join(rng.choice("0123456789") for _ in range(5000))
+    payload = {"base": 10, "precision": 50, "coeff_bound": 100,
+               "values": [{"kind": "int", "value": 1},
+                          {"kind": "digits", "digits": digit_str}]}
+    code, out, err = run_cli(["hunt", "--spec", write_spec(tmp_path, payload)], capsys)
+    assert code in (EXIT_OK, EXIT_NOT_FOUND), err
+    assert json.loads(out)["spec"]["values"][1]["digits"] == digit_str
+
+    payload["values"][1]["digits"] = digit_str[:4000] + "a" + digit_str[4000:]
+    code, _, err = run_cli(["hunt", "--spec", write_spec(tmp_path, payload, "bad.json")], capsys)
+    assert code == EXIT_INPUT
+    assert "values[1].digits" in err
 
 
 def test_malformed_specs(tmp_path, capsys):

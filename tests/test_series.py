@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacunary.series import (
     CoeffFn,
@@ -16,12 +18,27 @@ from lacunary.series import (
     form,
     fraction_sci,
     gap_scan,
+    parse_digits,
     render_digits,
     tail_bound,
 )
-from lacunary.sets import explicit, geometric, naturals, primes, primes_in_ap, squarefree
+from lacunary.sets import (
+    explicit,
+    geometric,
+    naturals,
+    pell_x,
+    primes,
+    primes_in_ap,
+    squarefree,
+)
 
-from oracles import series_partial_sum, sieve_primes
+from oracles import (
+    brute_digit_string,
+    brute_render_digits,
+    brute_series_mantissa,
+    series_partial_sum,
+    sieve_primes,
+)
 
 
 def alpha_spec(i=1, j=2):
@@ -285,3 +302,133 @@ def test_fixed_point_helpers():
     assert fraction_sci(Fraction(1, 2**10)) == "9.76e-4"
     assert fraction_sci(Fraction(-513, 524288)) == "-9.78e-4"
     assert fraction_sci(Fraction(12345, 1)) == "1.23e+4"
+
+
+@st.composite
+def fixed_point_values(draw):
+    """A value to render: any sign and size, near carries or zero, any error."""
+    b = draw(st.integers(2, 36))
+    scale = draw(st.integers(1, 500))  # past the leaves of the digit conversion
+    count = draw(st.integers(1, scale))
+    unit = b ** (scale - count)  # one unit in the last rendered digit
+    shape = draw(st.sampled_from(("any", "carry", "near_zero")))
+    if shape == "any":  # negative values and values >= 1 included
+        m = draw(st.integers(-3 * b**scale, 3 * b**scale))
+    elif shape == "carry":  # just below or above a multiple of b**-pos
+        pos = draw(st.integers(0, count))
+        m = (draw(st.integers(0, 3 * b**pos)) * b ** (scale - pos)
+             + draw(st.integers(-3 * unit, 3 * unit)))
+    else:  # within a few units of zero, so value - error may be negative
+        m = draw(st.integers(-3 * unit, 3 * unit))
+    error = draw(st.one_of(
+        st.just(Fraction(0)),
+        st.builds(lambda num, den, e: Fraction(num, den * b**e),
+                  st.integers(1, 50), st.integers(1, 5), st.integers(0, scale + 3))))
+    return FixedPointValue(b, m, scale, error), count
+
+
+@given(fixed_point_values())
+@settings(max_examples=400, deadline=None)
+def test_render_digits_matches_brute_oracle(case):
+    v, count = case
+    r = render_digits(v, count)
+    assert (r.digits, r.uncertain) == brute_render_digits(v, count)
+
+
+_ORACLE_SETS = {
+    "naturals": naturals(), "primes": primes(), "squarefree": squarefree(),
+    "primes_in_ap": primes_in_ap(4, 3), "geometric": geometric(2, 2), "pell_x": pell_x(2),
+}
+
+
+@st.composite
+def series_cases(draw):
+    b = draw(st.integers(2, 36))
+    i, j = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    digits = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(sorted(_ORACLE_SETS) + ["explicit"]))
+    if kind == "explicit":  # finite: exact when every member is included
+        members = draw(st.lists(st.integers(1, 25), max_size=6, unique=True))
+        index_set = explicit(sorted(members))
+        coeff = (CoeffFn.from_table({n: draw(st.sampled_from((-7, -1, 1, 4))) for n in members})
+                 if members else CoeffFn.constant(1))
+    else:
+        index_set = _ORACLE_SETS[kind]
+        coeff = draw(st.sampled_from((CoeffFn.constant(1), CoeffFn.constant(-3),
+                                      CoeffFn.alternating())))
+    return SeriesSpec(i, j, index_set, coeff), b, digits
+
+
+@given(series_cases())
+@settings(max_examples=200, deadline=None)
+def test_eval_series_matches_brute_oracle(case):
+    spec, b, digits = case
+    v = eval_series(spec, b, digits)
+    scale = digits + GUARD_DIGITS
+    members = [n for n in spec.set.members_up_to(scale) if spec.exponent(n) <= scale]
+    assert v.scale == scale
+    assert v.mantissa == brute_series_mantissa(b, spec.i, spec.j, members, spec.coeff, scale)
+
+
+@st.composite
+def huge_integers(draw):
+    """At least 10**4 digits: random low digits, or a few units from a power of ten."""
+    k = draw(st.integers(10**4, 10**4 + 300))
+    if draw(st.booleans()):
+        return 10**k + draw(st.integers(-2, 2))
+    low = random.Random(draw(st.integers(0, 2**32))).randrange(10**k)
+    return draw(st.integers(1, 10**6)) * 10**k + low
+
+
+@given(huge_integers(), huge_integers(),
+       st.sampled_from((1, -1, 10**5, Fraction(1, 10**5))))
+@settings(max_examples=40, deadline=None)
+def test_fraction_sci_exponent_for_huge_fractions(num, den, factor):
+    f = Fraction(num, den) * factor
+    mantissa, e = fraction_sci(f).split("e")
+    ten_e = Fraction(10) ** int(e)
+    assert ten_e <= abs(f) < 10 * ten_e
+    assert mantissa.lstrip("-").replace(".", "") == str(int(abs(f) * 100 / ten_e))
+
+
+@st.composite
+def int_literals(draw):
+    """Strings int(s, b) may accept or reject, built around valid digits."""
+    b = draw(st.sampled_from((2, 3, 8, 10, 16, 36)))
+    body = draw(st.text("0123456789abcdefghijklmnopqrstuvwxyz"[:b], min_size=0, max_size=600))
+    if draw(st.booleans()):  # underscores, possibly doubled or at an end
+        cut = draw(st.integers(0, len(body)))
+        body = body[:cut] + draw(st.sampled_from(("_", "__"))) + body[cut:]
+    prefix = {2: "0b", 8: "0o", 16: "0X"}.get(b, "")
+    head = draw(st.sampled_from(("", " ", "+", "-", " -", "\t+", prefix, "-" + prefix,
+                                 prefix + "_", prefix + "__")))
+    tail = draw(st.sampled_from(("", " ", "\n")))
+    if draw(st.booleans()):  # one character from outside the digit alphabet
+        cut = draw(st.integers(0, len(body)))
+        body = body[:cut] + draw(st.sampled_from((" ", "+", "-", ".", "x", "z", "\u0663"))) + body[cut:]
+    return head + body + tail, b
+
+
+@given(int_literals())
+@settings(max_examples=500, deadline=None)
+def test_parse_digits_accepts_what_int_accepts(case):
+    text, b = case
+    try:
+        expected = int(text, b)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_digits(text, b)
+    else:
+        assert parse_digits(text, b) == expected
+
+
+def test_parse_digits_past_the_int_str_limit():
+    rng = random.Random(11)
+    for b, length in ((10, 5000), (3, 20000), (36, 9000), (2, 40000)):
+        text = "".join(rng.choice("0123456789abcdefghijklmnopqrstuvwxyz"[:b])
+                       for _ in range(length))
+        n = parse_digits(text, b)
+        assert n < b**length
+        assert brute_digit_string(n, b, length) == text
+    with pytest.raises(ValueError):
+        parse_digits("7" * 3000 + "a" + "7" * 3000, 10)
