@@ -405,7 +405,8 @@ def int_literals(draw):
     tail = draw(st.sampled_from(("", " ", "\n")))
     if draw(st.booleans()):  # one character from outside the digit alphabet
         cut = draw(st.integers(0, len(body)))
-        body = body[:cut] + draw(st.sampled_from((" ", "+", "-", ".", "x", "z", "\u0663"))) + body[cut:]
+        stray = draw(st.sampled_from((" ", "+", "-", ".", "x", "z", "\u0663")))
+        body = body[:cut] + stray + body[cut:]
     return head + body + tail, b
 
 
