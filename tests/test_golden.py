@@ -1,0 +1,45 @@
+"""Replay the saved job specs under tests/golden/ and compare report bytes.
+
+Each case in tests/golden/cases.json names a spec (<name>.spec.json), the
+subcommand, the output format and the exit code; the expected report is
+<name>.report.json or <name>.report.txt. Together the cases cover every
+subcommand, set kind and coefficient kind, `min` cutoffs, and an exit-1
+check. A report that changes is a change of output, not of layout: update
+the saved file only on purpose.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from lacunary.cli import COMMANDS, main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_report_matches_saved_bytes(case, tmp_path):
+    ext = "json" if case["format"] == "json" else "txt"
+    out = tmp_path / f"report.{ext}"
+    code = main([case["command"], "--spec", str(GOLDEN / f"{case['name']}.spec.json"),
+                 "--out", str(out), "--format", case["format"]])
+    assert code == case["exit"]
+    assert out.read_bytes() == (GOLDEN / f"{case['name']}.report.{ext}").read_bytes()
+
+
+def test_corpus_covers_every_command_and_kind():
+    commands = {c["command"] for c in CASES}
+    set_kinds, coeff_kinds = set(), set()
+    for case in CASES:
+        spec = json.loads((GOLDEN / f"{case['name']}.spec.json").read_text(encoding="utf-8"))
+        for term in spec.get("terms", []) + spec.get("values", []):
+            if "set" in term:
+                set_kinds.add(term["set"]["kind"])
+                coeff_kinds.add(term.get("coeff", {"kind": "const"})["kind"])
+    assert commands == set(COMMANDS)
+    assert set_kinds == {"naturals", "primes", "primes_in_ap", "squarefree", "explicit",
+                         "geometric", "pell_x", "pell_y"}
+    assert coeff_kinds == {"const", "alternating", "table"}
+    assert any(c["exit"] == 1 and c["command"] == "check" for c in CASES)
