@@ -13,26 +13,26 @@ from .arith import (
     BudgetExceeded,
     Factorization,
     InconsistentSystem,
+    PellSolution,
+    SquareD,
     crt_solve,
     factor,
     int_nth_root,
     is_exponent_image,
     is_prime,
+    pell_fundamental,
 )
 from .dependence import (
     DependencyCertificate,
     EquationSolution,
     FamilyIndex,
     NotApplicable,
-    PellSolution,
     PowerCollision,
-    SquareD,
     build_counterexample,
     collision_witness,
     enumerate_equation_solutions,
     find_power_collisions,
     independence_conditions,
-    pell_fundamental,
     pell_stream,
     square_exponent_pairs,
 )

@@ -1,4 +1,5 @@
-"""Exact integer utilities: primality, factorization, integer roots, CRT.
+"""Exact integer utilities: primality, factorization, integer roots, CRT,
+and the Pell equation x**2 - D*y**2 = 1.
 
 Everything here is pure and deterministic; all other modules build on it.
 """
@@ -8,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 # Below this bound the Miller-Rabin base set is a proven deterministic test.
 PRIMALITY_EXACT_BOUND = 2**64
@@ -21,11 +23,15 @@ DEFAULT_FACTOR_BUDGET = 2_000_000
 
 
 class BudgetExceeded(Exception):
-    """The factoring step budget ran out before a full factorization."""
+    """A step or attempt budget ran out: here in factoring, elsewhere in a search."""
 
 
 class InconsistentSystem(Exception):
     """Two congruences disagree on a shared factor of their moduli."""
+
+
+class SquareD(ValueError):
+    """The Pell parameter D is a perfect square, so x**2 - D*y**2 = 1 is trivial."""
 
 
 def is_prime(n: int) -> bool:
@@ -275,3 +281,42 @@ def crt_solve(congruences: list[tuple[int, int]]) -> tuple[int, int]:
         x %= lcm
         m = lcm
     return x, m
+
+
+@dataclass(frozen=True)
+class PellSolution:
+    D: int
+    x: int
+    y: int
+
+    def __post_init__(self) -> None:
+        if self.x * self.x - self.D * self.y * self.y != 1:
+            raise ValueError(f"({self.x}, {self.y}) does not solve x^2 - {self.D} y^2 = 1")
+
+
+def pell_fundamental(D: int) -> PellSolution:
+    """Least positive solution of x**2 - D*y**2 = 1 via the continued fraction of sqrt(D)."""
+    if D < 1:
+        raise ValueError("D must be positive")
+    a0, exact = int_nth_root(D, 2)
+    if exact:
+        raise SquareD(f"{D} is a perfect square")
+    m, den, a = 0, 1, a0
+    h_prev, h = 1, a0
+    k_prev, k = 0, 1
+    while h * h - D * k * k != 1:
+        m = den * a - m
+        den = (D - m * m) // den
+        a = (a0 + m) // den
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+    return PellSolution(D, h, k)
+
+
+def pell_iter(D: int) -> Iterator[PellSolution]:
+    """All positive solutions in increasing x, generated from the fundamental one."""
+    fund = pell_fundamental(D)
+    x, y = fund.x, fund.y
+    while True:
+        yield PellSolution(D, x, y)
+        x, y = x * fund.x + D * y * fund.y, x * fund.y + y * fund.x

@@ -66,28 +66,30 @@ def _parse_family(spec: dict, field: str = "family"):
     return [_parse_pair(p, f"{field}[{idx}]") for idx, p in enumerate(raw)]
 
 
-def _parse_terms(spec: dict, base: int) -> tuple[list[tuple[int, SeriesSpec]], bool]:
+def _parse_series(item: dict, where: str) -> SeriesSpec:
+    i = _get(item, "i", int, minimum=1)
+    j = _get(item, "j", int, minimum=2)
+    try:
+        index_set = sets.from_json(_get(item, "set", dict))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SpecError(f"{where}.set", str(exc)) from exc
+    try:
+        coeff = CoeffFn.from_json(item.get("coeff", {"kind": "const", "value": 1}))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SpecError(f"{where}.coeff", str(exc)) from exc
+    return SeriesSpec(i, j, index_set, coeff)
+
+
+def _parse_terms(spec: dict) -> tuple[list[tuple[int, SeriesSpec]], bool]:
     raw = _get(spec, "terms", list, default=[])
     terms: list[tuple[int, SeriesSpec]] = []
-    finite = False
     for idx, item in enumerate(raw):
         where = f"terms[{idx}]"
         if not isinstance(item, dict):
             raise SpecError(where, "expected an object")
         weight = _get(item, "weight", int, default=1)
-        i = _get(item, "i", int, minimum=1)
-        j = _get(item, "j", int, minimum=2)
-        try:
-            index_set = sets.from_json(_get(item, "set", dict))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise SpecError(f"{where}.set", str(exc)) from exc
-        try:
-            coeff = CoeffFn.from_json(item.get("coeff", {"kind": "const", "value": 1}))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise SpecError(f"{where}.coeff", str(exc)) from exc
-        finite = finite or index_set.is_finite
-        terms.append((weight, SeriesSpec(i, j, index_set, coeff)))
-    return terms, finite
+        terms.append((weight, _parse_series(item, where)))
+    return terms, any(s.set.is_finite for _, s in terms)
 
 
 def _normalized_term(weight: int, spec: SeriesSpec) -> dict:
@@ -97,7 +99,7 @@ def _normalized_term(weight: int, spec: SeriesSpec) -> dict:
 def _form_from_spec(spec: dict) -> tuple[LinearFormSpec, dict, bool]:
     base = _get(spec, "base", int, minimum=2)
     constant = _get(spec, "constant", int, default=0)
-    terms, finite = _parse_terms(spec, base)
+    terms, finite = _parse_terms(spec)
     form = LinearFormSpec(base, constant, tuple(terms))
     normalized = {
         "base": base,
@@ -265,19 +267,9 @@ def _hunt_value(item: dict, base: int, precision: int, where: str) -> tuple[Fixe
         return (FixedPointValue(base, mantissa, len(raw), Fraction(1, base ** len(raw))),
                 {"kind": "digits", "digits": raw}, False)
     if kind == "series":
-        i = _get(item, "i", int, minimum=1)
-        j = _get(item, "j", int, minimum=2)
-        try:
-            index_set = sets.from_json(_get(item, "set", dict))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise SpecError(f"{where}.set", str(exc)) from exc
-        try:
-            coeff = CoeffFn.from_json(item.get("coeff", {"kind": "const", "value": 1}))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise SpecError(f"{where}.coeff", str(exc)) from exc
-        spec_obj = SeriesSpec(i, j, index_set, coeff)
+        spec_obj = _parse_series(item, where)
         return (series.eval_series(spec_obj, base, precision),
-                {"kind": "series", **spec_obj.to_json()}, index_set.is_finite)
+                {"kind": "series", **spec_obj.to_json()}, spec_obj.set.is_finite)
     raise SpecError(f"{where}.kind", "expected one of: int, digits, series")
 
 
@@ -407,10 +399,10 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (BudgetExceeded, forge.SearchExhausted, forge.BudgetExhausted) as exc:
+    except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, dependence.SquareD, relations.PrecisionTooLow) as exc:
+    except ValueError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,16 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
-from .arith import factor, int_nth_root, is_exponent_image
+# The Pell core lives in arith, below both this module and sets; SquareD and
+# pell_fundamental stay importable from here for existing callers.
+from .arith import (PellSolution, SquareD, factor, int_nth_root,  # noqa: F401
+                    is_exponent_image, pell_fundamental, pell_iter)
 from . import sets as sets_mod
 from .series import CoeffFn, LinearFormSpec, SeriesSpec, eval_linear_form, fraction_sci
 from .sets import ExponentSet, naturals
-
-
-class SquareD(Exception):
-    """The Pell parameter D is a perfect square, so x**2 - D*y**2 = 1 is trivial."""
 
 
 class NotApplicable(Exception):
@@ -135,45 +133,6 @@ def independence_conditions(family: FamilyIndex) -> ConditionsReport:
         tuple(find_power_collisions(family)),
         tuple(square_exponent_pairs(family)),
     )
-
-
-@dataclass(frozen=True)
-class PellSolution:
-    D: int
-    x: int
-    y: int
-
-    def __post_init__(self) -> None:
-        if self.x * self.x - self.D * self.y * self.y != 1:
-            raise ValueError(f"({self.x}, {self.y}) does not solve x^2 - {self.D} y^2 = 1")
-
-
-def pell_fundamental(D: int) -> PellSolution:
-    """Least positive solution of x**2 - D*y**2 = 1 via the continued fraction of sqrt(D)."""
-    if D < 1:
-        raise ValueError("D must be positive")
-    a0, exact = int_nth_root(D, 2)
-    if exact:
-        raise SquareD(f"{D} is a perfect square")
-    m, den, a = 0, 1, a0
-    h_prev, h = 1, a0
-    k_prev, k = 0, 1
-    while h * h - D * k * k != 1:
-        m = den * a - m
-        den = (D - m * m) // den
-        a = (a0 + m) // den
-        h, h_prev = a * h + h_prev, h
-        k, k_prev = a * k + k_prev, k
-    return PellSolution(D, h, k)
-
-
-def pell_iter(D: int) -> Iterator[PellSolution]:
-    """All positive solutions in increasing x, generated from the fundamental one."""
-    fund = pell_fundamental(D)
-    x, y = fund.x, fund.y
-    while True:
-        yield PellSolution(D, x, y)
-        x, y = x * fund.x + D * y * fund.y, x * fund.y + y * fund.x
 
 
 def pell_stream(D: int, count: int) -> list[PellSolution]:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import crt_solve, factor, is_exponent_image, is_prime
+from .arith import (BudgetExceeded, crt_solve, factor, is_exponent_image, is_prime,
+                    primality_certainty)
 from .sets import naturals
 
 DEFAULT_SCAN_LIMIT = 200_000
@@ -22,11 +23,11 @@ class SingularDerivative(Exception):
     """The lifting step hit k*u*x**(k-1) = 0 (mod p): v = 0 or p too small."""
 
 
-class SearchExhausted(Exception):
+class SearchExhausted(BudgetExceeded):
     """A witness scan ran out of budget before finding what it needed."""
 
 
-class BudgetExhausted(Exception):
+class BudgetExhausted(BudgetExceeded):
     """The prime search in the arithmetic progression hit its attempt cap."""
 
 
@@ -262,8 +263,6 @@ class ForgeCertificate:
     retries: int
 
     def to_json(self) -> dict:
-        from .arith import primality_certainty
-
         return {
             "system": self.system.to_json(),
             "q": self.q,

@@ -17,7 +17,7 @@ from .series import FixedPointValue
 LOVASZ_DELTA = Fraction(99, 100)
 
 
-class PrecisionTooLow(Exception):
+class PrecisionTooLow(ValueError):
     """Input error bounds are too large for the requested search precision."""
 
 

@@ -317,13 +317,12 @@ def exclusion_window_check(form: LinearFormSpec, center: int, radius: int) -> bo
     return True
 
 
-def tail_bound(form: LinearFormSpec, position: int, window: int) -> Fraction:
+def tail_bound(form: LinearFormSpec, window: int) -> Fraction:
     """Remainder bound m * (b**-window + 2 * b**-(2*window)) for the form.
 
     Here m is the largest declared coefficient bound times the total weight
     mass; it dominates both the single coefficient at the split position and
-    the whole tail beyond it. `position` marks where the form is split and
-    does not enter the bound itself.
+    the whole tail beyond it, wherever the form is split.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -417,28 +416,18 @@ def _base_digits(n: int, b: int, width: int, power) -> str:
 
 
 def parse_digits(text: str, b: int) -> int:
-    """int(text, b) for digit strings of any length.
+    """The value of a nonempty string of base-b digits, most significant first.
 
-    Accepts exactly what int() accepts (surrounding whitespace, a sign, a
-    0b/0o/0x prefix in base 2/8/16, single underscores between digits) and
-    raises ValueError otherwise, but converts by divide and conquer, the
-    inverse of `_base_digits`, so CPython's int <-> str digit limit does not
-    apply.
+    Every character must be a base-b digit as int(ch, b) reads it: no sign,
+    prefix, underscore or whitespace; anything else raises ValueError.
+    Converts by divide and conquer, the inverse of `_base_digits`, so
+    CPython's int <-> str digit limit does not apply.
     """
-    body = text.strip()
-    sign = -1 if body.startswith("-") else 1
-    if body.startswith(("+", "-")):
-        body = body[1:]
-    prefix = {2: "0b", 8: "0o", 16: "0x"}.get(b)
-    if prefix and body[:2].lower() == prefix:
-        body = body[3:] if body[2:3] == "_" else body[2:]
-    groups = body.split("_")
-    if not all(groups):
-        raise ValueError(f"no base-{b} digits, or a misplaced underscore")
-    digits = "".join(groups)
-    for ch in set(digits):
+    if not text:
+        raise ValueError(f"no base-{b} digits")
+    for ch in set(text):
         int(ch, b)  # raises ValueError on a character that is no base-b digit
-    return sign * _parse_chunk(digits, b, cache(lambda k: b**k))
+    return _parse_chunk(text, b, cache(lambda k: b**k))
 
 
 def _parse_chunk(digits: str, b: int, power) -> int:

@@ -8,28 +8,19 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Callable, Iterable
 
-from .arith import factor, int_nth_root, is_prime
-
-KINDS = (
-    "naturals",
-    "primes",
-    "primes_in_ap",
-    "squarefree",
-    "explicit",
-    "geometric",
-    "pell_x",
-    "pell_y",
-)
+from .arith import SquareD, factor, int_nth_root, is_prime, pell_iter
 
 
 @dataclass(frozen=True)
 class ExponentSet:
     """A subset of the positive integers used as a series index set.
 
-    kind selects the family; the remaining fields are kind-specific
-    parameters. ``min_value`` is an optional lower cutoff applied to
+    kind selects the family, whose rules are one entry of ``_KINDS``; the
+    remaining fields are kind-specific parameters. ``min_value`` is an optional lower cutoff applied to
     membership and enumeration alike. Build instances through the factory
     functions below, which validate parameters.
     """
@@ -44,100 +35,30 @@ class ExponentSet:
     scale: int = 1
     min_value: int = 1
 
+    def __post_init__(self) -> None:
+        _rules(self.kind)
+
     def contains(self, n: int) -> bool:
-        if n < max(1, self.min_value):
-            return False
-        if self.kind == "naturals":
-            return True
-        if self.kind == "primes":
-            return is_prime(n)
-        if self.kind == "primes_in_ap":
-            return n % self.d == self.h % self.d and is_prime(n)
-        if self.kind == "squarefree":
-            return factor(n).is_squarefree
-        if self.kind == "explicit":
-            idx = bisect_right(self.members, n)
-            return idx > 0 and self.members[idx - 1] == n
-        if self.kind == "geometric":
-            if n % self.u:
-                return False
-            q = n // self.u
-            return q & (q - 1) == 0 and (q.bit_length() - 1) % self.j == 0
-        if self.kind == "pell_x":
-            return any(x == n for x, _ in self._pell_pairs(n))
-        if self.kind == "pell_y":
-            return any(self.scale * y == n for _, y in self._pell_pairs(n))
-        raise ValueError(f"unknown set kind {self.kind!r}")
+        return n >= max(1, self.min_value) and _KINDS[self.kind].contains(self, n)
 
     def members_up_to(self, limit: int) -> list[int]:
         if limit < 1:
             raise ValueError("limit must be >= 1")
         lo = max(1, self.min_value)
-        if self.kind == "naturals":
-            out = list(range(lo, limit + 1))
-        elif self.kind == "primes":
-            out = _prime_sieve(limit)
-        elif self.kind == "primes_in_ap":
-            out = [p for p in _prime_sieve(limit) if p % self.d == self.h % self.d]
-        elif self.kind == "squarefree":
-            out = _squarefree_sieve(limit)
-        elif self.kind == "explicit":
-            out = list(self.members[: bisect_right(self.members, limit)])
-        elif self.kind == "geometric":
-            out = []
-            v = self.u
-            step = 1 << self.j
-            while v <= limit:
-                out.append(v)
-                v *= step
-        elif self.kind == "pell_x":
-            out = [x for x, _ in self._pell_pairs(limit) if x <= limit]
-        elif self.kind == "pell_y":
-            out = [self.scale * y for _, y in self._pell_pairs(limit) if self.scale * y <= limit]
-        else:
-            raise ValueError(f"unknown set kind {self.kind!r}")
-        return [n for n in out if n >= lo]
-
-    def _pell_pairs(self, limit: int) -> list[tuple[int, int]]:
-        # Solutions grow geometrically, so this list is logarithmic in limit.
-        from .dependence import pell_iter  # local import: dependence uses this module
-
-        pairs = []
-        for sol in pell_iter(self.D):
-            if sol.x > limit and self.scale * sol.y > limit:
-                break
-            pairs.append((sol.x, sol.y))
-        return pairs
+        return [n for n in _KINDS[self.kind].members_up_to(self, limit) if n >= lo]
 
     @property
     def is_finite(self) -> bool:
-        return self.kind == "explicit"
+        return _KINDS[self.kind].finite
 
     def describe(self) -> str:
-        if self.kind == "primes_in_ap":
-            return f"primes = {self.h} (mod {self.d})"
-        if self.kind == "explicit":
-            return "{" + ", ".join(map(str, self.members)) + "}"
-        if self.kind == "geometric":
-            return f"{{{self.u} * 2^({self.j}m)}}"
-        if self.kind == "pell_x":
-            return f"{{x : x^2 - {self.D} y^2 = 1}}"
-        if self.kind == "pell_y":
-            return f"{{{self.scale} y : x^2 - {self.D} y^2 = 1}}"
-        return self.kind
+        return _KINDS[self.kind].describe(self)
 
     def to_json(self) -> dict:
         obj: dict = {"kind": self.kind}
-        if self.kind == "primes_in_ap":
-            obj.update(d=self.d, h=self.h)
-        elif self.kind == "explicit":
-            obj["members"] = list(self.members)
-        elif self.kind == "geometric":
-            obj.update(u=self.u, j=self.j)
-        elif self.kind == "pell_x":
-            obj["D"] = self.D
-        elif self.kind == "pell_y":
-            obj.update(D=self.D, scale=self.scale)
+        for name in _KINDS[self.kind].fields:
+            value = getattr(self, name)
+            obj[name] = list(value) if isinstance(value, tuple) else value
         if self.min_value > 1:
             obj["min"] = self.min_value
         return obj
@@ -183,8 +104,6 @@ def geometric(u: int, j: int, min_value: int = 1) -> ExponentSet:
 
 
 def _require_nonsquare(D: int) -> None:
-    from .dependence import SquareD
-
     if D < 1:
         raise ValueError("D must be positive")
     if int_nth_root(D, 2)[1]:
@@ -219,25 +138,119 @@ def from_json(obj: dict) -> ExponentSet:
     """Parse the structured-text form, e.g. {"kind": "primes_in_ap", "d": 4, "h": 3}."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("set spec must be an object with a 'kind' field")
-    kind = obj["kind"]
-    mv = obj.get("min", 1)
-    if kind == "naturals":
-        return naturals(mv)
-    if kind == "primes":
-        return primes(mv)
-    if kind == "primes_in_ap":
-        return primes_in_ap(obj["d"], obj["h"], mv)
-    if kind == "squarefree":
-        return squarefree(mv)
-    if kind == "explicit":
-        return explicit(obj["members"], mv)
-    if kind == "geometric":
-        return geometric(obj["u"], obj["j"], mv)
-    if kind == "pell_x":
-        return pell_x(obj["D"], mv)
-    if kind == "pell_y":
-        return pell_y(obj["D"], obj.get("scale", 1), mv)
-    raise ValueError(f"unknown set kind {kind!r}")
+    rules = _rules(obj["kind"])
+    spec = {"min": 1, **rules.defaults, **obj}
+    return rules.factory(*(spec[name] for name in rules.fields), spec["min"])
+
+
+# ---------------------------------------------------------------- set kinds
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything one set kind decides.
+
+    ``fields`` are the JSON fields after "kind", in the order the factory
+    takes them (``defaults`` holds those a spec may omit). ``contains`` and
+    ``members_up_to`` see n >= 1 and limit >= 1 and leave the ``min_value``
+    cutoff to ExponentSet; ``members_up_to`` yields members in increasing
+    order.
+    """
+
+    factory: Callable[..., ExponentSet]
+    contains: Callable[[ExponentSet, int], bool]
+    members_up_to: Callable[[ExponentSet, int], Iterable[int]]
+    describe: Callable[[ExponentSet], str] = attrgetter("kind")
+    fields: tuple[str, ...] = ()
+    defaults: dict = field(default_factory=dict)
+    finite: bool = False
+
+
+def _rules(kind) -> _Kind:
+    rules = _KINDS.get(kind) if isinstance(kind, str) else None
+    if rules is None:
+        raise ValueError(f"unknown set kind {kind!r}")
+    return rules
+
+
+def _explicit_contains(s: ExponentSet, n: int) -> bool:
+    idx = bisect_right(s.members, n)
+    return idx > 0 and s.members[idx - 1] == n
+
+
+def _geometric_contains(s: ExponentSet, n: int) -> bool:
+    if n % s.u:
+        return False
+    q = n // s.u
+    return q & (q - 1) == 0 and (q.bit_length() - 1) % s.j == 0
+
+
+def _geometric_members(s: ExponentSet, limit: int) -> list[int]:
+    out = []
+    v = s.u
+    step = 1 << s.j
+    while v <= limit:
+        out.append(v)
+        v *= step
+    return out
+
+
+def _pell_pairs(s: ExponentSet, limit: int) -> list[tuple[int, int]]:
+    # Solutions grow geometrically, so this list is logarithmic in limit.
+    pairs = []
+    for sol in pell_iter(s.D):
+        if sol.x > limit and s.scale * sol.y > limit:
+            break
+        pairs.append((sol.x, sol.y))
+    return pairs
+
+
+_KINDS = {
+    "naturals": _Kind(
+        naturals,
+        contains=lambda s, n: True,
+        members_up_to=lambda s, limit: range(1, limit + 1)),
+    "primes": _Kind(
+        primes,
+        contains=lambda s, n: is_prime(n),
+        members_up_to=lambda s, limit: _prime_sieve(limit)),
+    "primes_in_ap": _Kind(
+        primes_in_ap,
+        contains=lambda s, n: n % s.d == s.h % s.d and is_prime(n),
+        members_up_to=lambda s, limit: (p for p in _prime_sieve(limit) if p % s.d == s.h % s.d),
+        describe=lambda s: f"primes = {s.h} (mod {s.d})",
+        fields=("d", "h")),
+    "squarefree": _Kind(
+        squarefree,
+        contains=lambda s, n: factor(n).is_squarefree,
+        members_up_to=lambda s, limit: _squarefree_sieve(limit)),
+    "explicit": _Kind(
+        explicit,
+        contains=_explicit_contains,
+        members_up_to=lambda s, limit: s.members[: bisect_right(s.members, limit)],
+        describe=lambda s: "{" + ", ".join(map(str, s.members)) + "}",
+        fields=("members",),
+        finite=True),
+    "geometric": _Kind(
+        geometric,
+        contains=_geometric_contains,
+        members_up_to=_geometric_members,
+        describe=lambda s: f"{{{s.u} * 2^({s.j}m)}}",
+        fields=("u", "j")),
+    "pell_x": _Kind(
+        pell_x,
+        contains=lambda s, n: any(x == n for x, _ in _pell_pairs(s, n)),
+        members_up_to=lambda s, limit: [x for x, _ in _pell_pairs(s, limit) if x <= limit],
+        describe=lambda s: f"{{x : x^2 - {s.D} y^2 = 1}}",
+        fields=("D",)),
+    "pell_y": _Kind(
+        pell_y,
+        contains=lambda s, n: any(s.scale * y == n for _, y in _pell_pairs(s, n)),
+        members_up_to=lambda s, limit: [s.scale * y for _, y in _pell_pairs(s, limit)
+                                    if s.scale * y <= limit],
+        describe=lambda s: f"{{{s.scale} y : x^2 - {s.D} y^2 = 1}}",
+        fields=("D", "scale"),
+        defaults={"scale": 1}),
+}
 
 
 def _prime_sieve(limit: int) -> list[int]:

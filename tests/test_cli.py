@@ -229,6 +229,33 @@ def test_hunt_literal_past_the_int_str_limit(tmp_path, capsys):
     assert "values[1].digits" in err
 
 
+def test_hunt_literal_counts_only_digits(tmp_path, capsys):
+    # The scale of a literal is its length, so only digits may appear in it.
+    for base, literal in ((10, "+" + "31" * 40), (16, "0x" + "3f" * 40)):
+        payload = {"base": base, "precision": 60, "coeff_bound": 100,
+                   "values": [{"kind": "int", "value": 1},
+                              {"kind": "digits", "digits": literal}]}
+        code, out, err = run_cli(["hunt", "--spec", write_spec(tmp_path, payload)], capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert "values[1].digits" in err
+
+
+def test_square_pell_parameter_names_its_field(tmp_path, capsys):
+    square = {"kind": "pell_x", "D": 4}
+    spec = write_spec(tmp_path, {"base": 2, "digits": 20, "terms": [
+        {"i": 1, "j": 2, "set": square}]})
+    code, _, err = run_cli(["eval", "--spec", spec], capsys)
+    assert code == EXIT_INPUT
+    assert "terms[0].set" in err and "perfect square" in err
+
+    spec = write_spec(tmp_path, {"base": 2, "precision": 60, "values": [
+        {"kind": "int", "value": 1},
+        {"kind": "series", "i": 1, "j": 2, "set": square}]}, name="hunt.json")
+    code, _, err = run_cli(["hunt", "--spec", spec], capsys)
+    assert code == EXIT_INPUT
+    assert "values[1].set" in err and "perfect square" in err
+
+
 def test_malformed_specs(tmp_path, capsys):
     spec = write_spec(tmp_path, {"base": 2, "terms": [ALPHA_TERM]})  # no digits
     code, _, err = run_cli(["eval", "--spec", spec], capsys)

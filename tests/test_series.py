@@ -194,12 +194,12 @@ def test_eval_linear_form_cancellation_and_constants():
 
 def test_tail_bound_examples():
     f1 = form(2, 0, [(1, alpha_spec())])
-    assert tail_bound(f1, 100, 10) == Fraction(1, 2**10) + Fraction(2, 2**20)
+    assert tail_bound(f1, 10) == Fraction(1, 2**10) + Fraction(2, 2**20)
     f0 = form(2, 0, [(0, alpha_spec())])
-    assert tail_bound(f0, 100, 4) == 0
+    assert tail_bound(f0, 4) == 0
     spec_c2 = SeriesSpec(1, 2, naturals(), CoeffFn.constant(2))
     f2 = form(3, 0, [(3, spec_c2), (-1, spec_c2)])
-    assert tail_bound(f2, 55, 5) == Fraction(8, 3**5) + Fraction(16, 3**10)
+    assert tail_bound(f2, 5) == Fraction(8, 3**5) + Fraction(16, 3**10)
 
 
 def test_render_digits_examples():
@@ -412,15 +412,21 @@ def int_literals(draw):
 
 @given(int_literals())
 @settings(max_examples=500, deadline=None)
-def test_parse_digits_accepts_what_int_accepts(case):
+def test_parse_digits_accepts_exactly_digit_strings(case):
     text, b = case
-    try:
-        expected = int(text, b)
-    except ValueError:
+
+    def is_digit(ch):
+        try:
+            int(ch, b)
+        except ValueError:
+            return False
+        return True
+
+    if text and all(is_digit(ch) for ch in text):
+        assert parse_digits(text, b) == int(text, b)
+    else:
         with pytest.raises(ValueError):
             parse_digits(text, b)
-    else:
-        assert parse_digits(text, b) == expected
 
 
 def test_parse_digits_past_the_int_str_limit():
