@@ -16,6 +16,7 @@ from .arith import (
     PellSolution,
     SquareD,
     crt_solve,
+    exponent_images,
     factor,
     int_nth_root,
     is_exponent_image,

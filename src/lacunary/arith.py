@@ -242,18 +242,38 @@ def is_exponent_image(n: int, i: int, j: int, s) -> int | None:
 
     ``s`` is any object with a ``contains(k)`` method (an ExponentSet).
     Uniqueness holds because j >= 2 and k >= 1; no enumeration happens, so n
-    may be very large.
+    may be very large. This is ``exponent_images`` on the window [n, n].
     """
-    if n < 1 or i < 1:
+    hits = exponent_images(n, n, i, j, s)
+    return hits[0][1] if hits else None
+
+
+def exponent_range(lo: int, hi: int, i: int, j: int) -> range:
+    """The k >= 1 with lo <= i * k**j <= hi, found by two root extractions.
+
+    Empty when the window holds no image, including when hi < lo; stop is
+    never below start, so stop - start counts the k even past sys.maxsize.
+    """
+    if lo < 1 or i < 1:
         raise ValueError("n and i must be positive")
     if j < 2:
         raise ValueError("j must be >= 2")
-    if n % i:
-        return None
-    k, exact = int_nth_root(n // i, j)
-    if exact and k >= 1 and s.contains(k):
-        return k
-    return None
+    if hi < lo:
+        return range(0)
+    root, exact = int_nth_root(-(-lo // i), j)  # ceil(lo / i)
+    k_lo = root if exact else root + 1
+    k_hi = int_nth_root(hi // i, j)[0]
+    return range(k_lo, max(k_lo, k_hi + 1))
+
+
+def exponent_images(lo: int, hi: int, i: int, j: int, s) -> list[tuple[int, int]]:
+    """The ascending (n, k) with lo <= n = i * k**j <= hi and k in s.
+
+    Only the candidates k from ``exponent_range`` are tested for membership,
+    so the cost grows with about ((hi - lo) / i)**(1/j), not with the window
+    width.
+    """
+    return [(i * k**j, k) for k in exponent_range(lo, hi, i, j) if s.contains(k)]
 
 
 def crt_solve(congruences: list[tuple[int, int]]) -> tuple[int, int]:

@@ -39,18 +39,20 @@ class SpecError(Exception):
         self.field = field
 
 
-def _get(spec: dict, field: str, kind, default=_MISSING, minimum=None):
+def _get(spec: dict, field: str, kind, default=_MISSING, minimum=None, where=None):
+    """spec[field], checked; errors name the field as `where.field` when given."""
+    name = field if where is None else f"{where}.{field}"
     if field not in spec:
         if default is _MISSING:
-            raise SpecError(field, "required field is missing")
+            raise SpecError(name, "required field is missing")
         return default
     val = spec[field]
     if kind is int and isinstance(val, bool):
-        raise SpecError(field, "expected an integer, got a boolean")
+        raise SpecError(name, "expected an integer, got a boolean")
     if not isinstance(val, kind):
-        raise SpecError(field, f"expected {getattr(kind, '__name__', kind)}")
+        raise SpecError(name, f"expected {getattr(kind, '__name__', kind)}")
     if minimum is not None and val < minimum:
-        raise SpecError(field, f"must be >= {minimum}")
+        raise SpecError(name, f"must be >= {minimum}")
     return val
 
 
@@ -67,10 +69,10 @@ def _parse_family(spec: dict, field: str = "family"):
 
 
 def _parse_series(item: dict, where: str) -> SeriesSpec:
-    i = _get(item, "i", int, minimum=1)
-    j = _get(item, "j", int, minimum=2)
+    i = _get(item, "i", int, minimum=1, where=where)
+    j = _get(item, "j", int, minimum=2, where=where)
     try:
-        index_set = sets.from_json(_get(item, "set", dict))
+        index_set = sets.from_json(_get(item, "set", dict, where=where))
     except (ValueError, KeyError, TypeError) as exc:
         raise SpecError(f"{where}.set", str(exc)) from exc
     try:

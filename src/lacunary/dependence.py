@@ -15,11 +15,16 @@ from fractions import Fraction
 
 # The Pell core lives in arith, below both this module and sets; SquareD and
 # pell_fundamental stay importable from here for existing callers.
-from .arith import (PellSolution, SquareD, factor, int_nth_root,  # noqa: F401
-                    is_exponent_image, pell_fundamental, pell_iter)
+from .arith import (BudgetExceeded, PellSolution, SquareD,  # noqa: F401
+                    exponent_images, factor, int_nth_root, pell_fundamental, pell_iter)
 from . import sets as sets_mod
 from .series import CoeffFn, LinearFormSpec, SeriesSpec, eval_linear_form, fraction_sci
 from .sets import ExponentSet, naturals
+
+
+# Largest x_max enumerate_equation_solutions scans (each x costs two root
+# extractions); a larger one raises BudgetExceeded.
+MAX_X = 10**6
 
 
 class NotApplicable(Exception):
@@ -251,20 +256,21 @@ def enumerate_equation_solutions(i0: int, j0: int, i: int, j: int,
 
     Only finitely many exist; the largest returned x is an empirical lower
     estimate of the true cutoff beyond which the window positions are clear.
-    This is a bounded scan, never a finiteness proof.
+    This is a bounded scan, never a finiteness proof. For each x, two root
+    extractions bound the y with i*y**j within u_max of i0*x**j0. Solutions
+    come by x, then u, then sign ("+" first). Raises BudgetExceeded when
+    x_max is above MAX_X.
     """
     if u_max < 1 or x_max < 1:
         raise ValueError("u_max and x_max must be >= 1")
+    if x_max > MAX_X:
+        raise BudgetExceeded(f"x_max = {x_max} is above the cap of {MAX_X}")
     nat = naturals()
     out = []
     for x in range(1, x_max + 1):
         lead = i0 * x**j0
-        for u in range(1, u_max + 1):
-            if lead - u >= 1:
-                y = is_exponent_image(lead - u, i, j, nat)
-                if y is not None:
-                    out.append(EquationSolution(x, y, u, "+"))
-            y = is_exponent_image(lead + u, i, j, nat)
-            if y is not None:
-                out.append(EquationSolution(x, y, u, "-"))
+        near = sorted((abs(n - lead), n > lead, y)
+                      for n, y in exponent_images(max(1, lead - u_max), lead + u_max, i, j, nat)
+                      if n != lead)
+        out.extend(EquationSolution(x, y, u, "-" if above else "+") for u, above, y in near)
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import (BudgetExceeded, crt_solve, factor, is_exponent_image, is_prime,
+from .arith import (BudgetExceeded, crt_solve, exponent_images, factor, is_prime,
                     primality_certainty)
 from .sets import naturals
 
@@ -234,23 +234,26 @@ def verify_exclusions(q: int, i0: int, j0: int, window: int,
                       family) -> ExclusionReport:
     """Check i0*q**j0 +- u != i*k**j for u = 1..window-1 and all family pairs.
 
-    k ranges over all positive integers; the test is a root extraction per
-    pair, so q may be large. An empty violation list means the window around
-    i0 * q**j0 is clear.
+    k ranges over all positive integers; per pair, two root extractions bound
+    the k whose images fall in the window, so q may be large. An empty
+    violation list means the window around i0 * q**j0 is clear. Violations
+    are ordered by u, then side ("-" first), then family order.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
     nat = naturals()
     center = i0 * q**j0
     fam = tuple((int(i), int(j)) for i, j in family)
-    violations = []
-    for u in range(1, window):
-        for side, n in (("-", center - u), ("+", center + u)):
-            for i, j in fam:
-                k = is_exponent_image(n, i, j, nat)
-                if k is not None:
-                    violations.append(ExclusionViolation(u, side, i, j, k))
-    return ExclusionReport(center, window, fam, tuple(violations))
+    found = []
+    if window > 1:  # the empty window holds for any family, valid or not
+        for rank, (i, j) in enumerate(fam):
+            for n, k in exponent_images(center - window + 1, center + window - 1, i, j, nat):
+                u = abs(n - center)
+                if u:
+                    side = "+" if n > center else "-"
+                    found.append((u, side == "+", rank, ExclusionViolation(u, side, i, j, k)))
+    found.sort(key=lambda v: v[:3])
+    return ExclusionReport(center, window, fam, tuple(v[-1] for v in found))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .arith import int_nth_root, is_exponent_image
+from .arith import BudgetExceeded, exponent_images, exponent_range, int_nth_root
 from .sets import ExponentSet, set_enumerate
 
 # Guard digits appended beyond the requested precision; keeps carry
@@ -276,45 +276,77 @@ def coefficient_at(form: LinearFormSpec, n: int) -> int:
     zero otherwise; membership runs through root extraction, never
     enumeration, so n may be astronomically large.
     """
-    total = 0
-    for w, spec in form.terms:
-        k = is_exponent_image(n, spec.i, spec.j, spec.set)
-        if k is not None:
-            total += w * spec.coeff(k)
-    return total
+    return sum(c for _, c in _nonzero_coefficients(form, n, n))
+
+
+# Most candidate positions gap_scan examines (the sum over the terms of the
+# k with i * k**j inside the range); past it, gap_scan raises BudgetExceeded
+# before examining any.
+MAX_GAP_CANDIDATES = 10**6
+
+
+def _nonzero_coefficients(form: LinearFormSpec, lo: int, hi: int, center: int | None = None):
+    """Yield (n, c) for each n in [lo, hi] whose coefficient c is nonzero.
+
+    Only member images i * k**j are visited. Positions come in ascending
+    order; given a ``center``, that position is skipped and the others come
+    nearest first, center - u before center + u. At each position the terms'
+    coefficients are evaluated in term order and summed, so weights that
+    cancel still cancel.
+    """
+    hits = sorted((n if center is None else (abs(n - center), n > center), t, n, k)
+                  for t, (_, spec) in enumerate(form.terms)
+                  for n, k in exponent_images(lo, hi, spec.i, spec.j, spec.set)
+                  if n != center)
+    pos = total = None
+    for _, t, n, k in hits:
+        if n != pos:
+            if total:
+                yield pos, total
+            pos, total = n, 0
+        w, spec = form.terms[t]
+        total += w * spec.coeff(k)
+    if total:
+        yield pos, total
 
 
 def gap_scan(form: LinearFormSpec, range_start: int, range_end: int) -> list[tuple[int, int]]:
-    """Maximal runs (start, length) of zero coefficients inside the range."""
+    """Maximal runs (start, length) of zero coefficients inside the range.
+
+    Raises BudgetExceeded when the terms have more than MAX_GAP_CANDIDATES
+    candidate positions in the range.
+    """
     if not 1 <= range_start <= range_end:
         raise ValueError("need 1 <= range_start <= range_end")
+    candidates = sum(r.stop - r.start for r in (
+        exponent_range(range_start, range_end, spec.i, spec.j) for _, spec in form.terms))
+    if candidates > MAX_GAP_CANDIDATES:
+        raise BudgetExceeded(
+            f"range [{range_start}, {range_end}] holds {candidates} candidate positions, "
+            f"above the cap of {MAX_GAP_CANDIDATES}")
     runs: list[tuple[int, int]] = []
-    run_start = None
-    for n in range(range_start, range_end + 1):
-        if coefficient_at(form, n) == 0:
-            if run_start is None:
-                run_start = n
-        elif run_start is not None:
-            runs.append((run_start, n - run_start))
-            run_start = None
-    if run_start is not None:
-        runs.append((run_start, range_end - run_start + 1))
+    last = range_start - 1  # the last nonzero position seen, or just before the range
+    for n, _ in _nonzero_coefficients(form, range_start, range_end):
+        if n > last + 1:
+            runs.append((last + 1, n - last - 1))
+        last = n
+    if last < range_end:
+        runs.append((last + 1, range_end - last))
     return runs
 
 
 def exclusion_window_check(form: LinearFormSpec, center: int, radius: int) -> bool:
     """True iff every position center +- u, u = 1..radius-1, carries a zero.
 
-    radius == 1 is the empty window and holds vacuously.
+    radius == 1 is the empty window and holds vacuously. Positions are
+    examined nearest first, center - u before center + u.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     if center <= radius:
         raise ValueError("center must exceed the window radius")
-    for u in range(1, radius):
-        if coefficient_at(form, center - u) or coefficient_at(form, center + u):
-            return False
-    return True
+    lo, hi = center - radius + 1, center + radius - 1
+    return next(_nonzero_coefficients(form, lo, hi, center), None) is None
 
 
 def tail_bound(form: LinearFormSpec, window: int) -> Fraction:

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to derive expected test values.
 
-Nothing in here touches the package under test; everything is the dumbest
-correct method available (trial division, sieves, exhaustive scans, exact
-Fraction summation).
+Nothing in here touches the package under test, apart from the set
+membership tests and coefficient functions a caller passes in with a form;
+everything is the dumbest correct method available (trial division, sieves,
+exhaustive scans, exact Fraction summation).
 """
 
 from __future__ import annotations
@@ -144,3 +145,63 @@ def _int_root_floor(n: int, k: int) -> int:
     while (r + 1) ** k <= n:
         r += 1
     return r
+
+
+def brute_coefficient(form, n: int) -> int:
+    """The coefficient at position n of a linear form, by one root per term.
+
+    `form.terms` holds (weight, spec) pairs; each spec has i, j, a `set` with
+    `contains(k)` and a callable `coeff`. Terms are evaluated in order.
+    """
+    total = 0
+    for w, spec in form.terms:
+        if n % spec.i:
+            continue
+        k = _int_root_floor(n // spec.i, spec.j)
+        if k >= 1 and spec.i * k**spec.j == n and spec.set.contains(k):
+            total += w * spec.coeff(k)
+    return total
+
+
+def brute_gap_runs(form, range_start: int, range_end: int) -> list[tuple[int, int]]:
+    """Maximal zero runs (start, length) in the range, position by position."""
+    runs = []
+    run_start = None
+    for n in range(range_start, range_end + 1):
+        if brute_coefficient(form, n) == 0:
+            if run_start is None:
+                run_start = n
+        elif run_start is not None:
+            runs.append((run_start, n - run_start))
+            run_start = None
+    if run_start is not None:
+        runs.append((run_start, range_end - run_start + 1))
+    return runs
+
+
+def brute_window_clear(form, center: int, radius: int) -> bool:
+    """Whether center +- u carries a zero for u = 1..radius-1, nearest first."""
+    for u in range(1, radius):
+        if brute_coefficient(form, center - u) or brute_coefficient(form, center + u):
+            return False
+    return True
+
+
+def brute_exclusions(q: int, i0: int, j0: int, window: int,
+                     family) -> list[tuple[int, str, int, int, int]]:
+    """(u, side, i, j, k) with i0*q**j0 -+ u == i*k**j, ordered by u, side, family.
+
+    Raises ValueError when the window reaches below position 1 and the family
+    is not empty.
+    """
+    center = i0 * q**j0
+    out = []
+    for u in range(1, window):
+        for side, n in (("-", center - u), ("+", center + u)):
+            for i, j in family:
+                if n < 1:
+                    raise ValueError(f"position {n} is not positive")
+                k = _int_root_floor(n // i, j)
+                if n % i == 0 and k >= 1 and i * k**j == n:
+                    out.append((u, side, i, j, k))
+    return out

@@ -42,6 +42,7 @@ from lacunary.sets import (
 from oracles import (
     brute_digit_string,
     brute_equation_solutions,
+    brute_gap_runs,
     brute_pell_fundamental,
     brute_series_mantissa,
     sieve_primes,
@@ -239,3 +240,43 @@ def test_c10_digits_at_scale():
         unit = b ** (depth - certain)
         expected = {brute_digit_string(x // unit % b**certain, b, certain) for x in (m, m + 3)}
         assert expected == {result["digits"][:certain]}
+
+
+def test_c11_sparse_windows_at_scale():
+    # Twelve terms on the (i, j) slots of the windows benchmark, over sets of
+    # every infinite kind, with alternating signs.
+    pairs = [(1, 2), (2, 3), (1, 2), (3, 2), (1, 4), (2, 3),
+             (1, 2), (4, 3), (1, 2), (2, 5), (1, 2), (3, 4)]
+    pool = [naturals(), primes(), squarefree(), pell_x(2), primes_in_ap(4, 3), pell_y(3, 2)]
+    f = form(2, 0, [((-1) ** t * (t % 3 + 1),
+                     SeriesSpec(i, j, pool[t % len(pool)], CoeffFn.alternating() if t % 4 == 3
+                                else CoeffFn.constant(1)))
+                    for t, (i, j) in enumerate(pairs)])
+    terms = [{"weight": w, **spec.to_json()} for w, spec in f.terms]
+    # 10**30 = (10**15)**2 = (10**10)**3 = (10**6)**5 sits mid-window.
+    ranges = [(10**30 - 5 * 10**8, 10**30 + 5 * 10**8 - 1), (1, 10**8)]
+    dio = {"i0": 1, "j0": 3, "i": 1, "j": 2, "u_max": 200, "x_max": 10**5}
+    with criterion(11, "12-term gaps at 10^30 and over [1, 10^8], diophantine x_max 10^5", 5.0):
+        gaps = [run_job("gaps", {"base": 2, "range": list(r), "terms": terms}) for r in ranges]
+        sols = run_job("diophantine", dio)
+    found = []
+    for (lo, hi), (report, code) in zip(ranges, gaps):
+        assert code == EXIT_OK
+        runs = report["result"]["runs"]
+        # The position after each run is nonzero (or past the window).
+        nonzero = [s + length for s, length in runs if s + length <= hi]
+        found.append(len(nonzero))
+        rng = random.Random(lo)
+        centers = nonzero[:20] + [rng.randrange(lo, hi) for _ in range(10)]
+        for c in centers:
+            a, b = max(lo, c - 300), min(hi, c + 300)
+            clipped = [(max(s, a), min(s + length - 1, b) - max(s, a) + 1)
+                       for s, length in runs if s <= b and s + length - 1 >= a]
+            assert clipped == brute_gap_runs(f, a, b)
+    assert found[0] >= 1 and found[1] > 10**4
+    report, code = sols
+    assert code == EXIT_OK
+    got = [(s["x"], s["y"], s["u"], s["sign"]) for s in report["result"]["solutions"]]
+    brute = sorted(brute_equation_solutions(1, 3, 1, 2, 200, 2000),
+                   key=lambda s: (s[0], s[2], s[3] != "+"))
+    assert [s for s in got if s[0] <= 2000] == brute

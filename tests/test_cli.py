@@ -12,6 +12,7 @@ from lacunary.cli import (
     EXIT_OK,
     main,
 )
+from lacunary import series
 from lacunary.series import GUARD_DIGITS
 
 from oracles import brute_digit_string, series_partial_sum, sieve_primes
@@ -254,6 +255,58 @@ def test_square_pell_parameter_names_its_field(tmp_path, capsys):
     code, _, err = run_cli(["hunt", "--spec", spec], capsys)
     assert code == EXIT_INPUT
     assert "values[1].set" in err and "perfect square" in err
+
+
+def test_term_errors_name_their_term(tmp_path, capsys):
+    no_j = {"i": 1, "set": {"kind": "naturals"}}
+    spec = write_spec(tmp_path, {"base": 2, "digits": 20, "terms": [ALPHA_TERM, no_j]})
+    code, _, err = run_cli(["eval", "--spec", spec], capsys)
+    assert code == EXIT_INPUT
+    assert "field 'terms[1].j': required field is missing" in err
+
+    spec = write_spec(tmp_path, {"base": 2, "precision": 60, "values": [
+        {"kind": "int", "value": 1}, {"kind": "int", "value": 2},
+        {"kind": "series", **no_j}]}, name="hunt.json")
+    code, _, err = run_cli(["hunt", "--spec", spec], capsys)
+    assert code == EXIT_INPUT
+    assert "field 'values[2].j': required field is missing" in err
+
+    bad_i = write_spec(tmp_path, {"base": 2, "range": [1, 9], "terms": [
+        {**ALPHA_TERM, "i": 0}]}, name="gaps.json")
+    code, _, err = run_cli(["gaps", "--spec", bad_i], capsys)
+    assert code == EXIT_INPUT
+    assert "field 'terms[0].i': must be >= 1" in err
+
+
+def test_gaps_range_above_the_candidate_cap_exits_3(tmp_path, capsys):
+    # [1, 10**13] holds about 3.2 million squares, past the cap of 10**6; the
+    # count comes from two roots, so the job stops without enumerating.
+    spec = write_spec(tmp_path, {"base": 2, "range": [1, 10**13], "terms": [ALPHA_TERM]})
+    code, out, err = run_cli(["gaps", "--spec", spec], capsys)
+    assert code == EXIT_BUDGET and out == ""
+    assert err.startswith("budget exhausted: range [1, 10000000000000]")
+    assert "3162277 candidate positions" in err
+
+
+
+def test_gaps_candidate_cap_boundary(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(series, "MAX_GAP_CANDIDATES", 100)
+    at_cap = write_spec(tmp_path, {"base": 2, "range": [1, 10**4], "terms": [ALPHA_TERM]})
+    code, out, _ = run_cli(["gaps", "--spec", at_cap], capsys)
+    assert code == EXIT_OK  # exactly 100 squares
+    assert json.loads(out)["result"]["longest"] == 2 * 99
+    past = write_spec(tmp_path, {"base": 2, "range": [1, 101**2], "terms": [ALPHA_TERM]},
+                      name="past.json")
+    code, _, err = run_cli(["gaps", "--spec", past], capsys)
+    assert code == EXIT_BUDGET and "101 candidate positions" in err
+
+
+def test_diophantine_x_max_above_the_cap_exits_3(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"i0": 1, "j0": 3, "i": 1, "j": 2,
+                                 "u_max": 1, "x_max": 10**6 + 1})
+    code, out, err = run_cli(["diophantine", "--spec", spec], capsys)
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "budget exhausted: x_max = 1000001 is above the cap of 1000000\n"
 
 
 def test_malformed_specs(tmp_path, capsys):
