@@ -6,9 +6,13 @@ subcommand, the output format and the exit code; the expected report is
 subcommand, set kind and coefficient kind, `min` cutoffs, and an exit-1
 check. A report that changes is a change of output, not of layout: update
 the saved file only on purpose.
+
+tests/golden/errors.json pins the other side: error and edge specs, each
+with its subcommand, extra arguments, exit code and exact stderr.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +21,7 @@ from lacunary.cli import COMMANDS, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+ERRORS = json.loads((GOLDEN / "errors.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
@@ -43,3 +48,15 @@ def test_corpus_covers_every_command_and_kind():
                          "geometric", "pell_x", "pell_y"}
     assert coeff_kinds == {"const", "alternating", "table"}
     assert any(c["exit"] == 1 and c["command"] == "check" for c in CASES)
+
+
+@pytest.mark.parametrize("case", ERRORS, ids=[c["name"] for c in ERRORS])
+def test_error_matches_saved_stderr(case, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(case["spec"]), encoding="utf-8")
+    try:
+        code = main([case["command"], "--spec", str(spec), *case.get("args", [])])
+    except Exception as exc:  # an uncaught exception ends the process with exit 1
+        code = 1
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    assert (code, capsys.readouterr().err) == (case["exit"], case["stderr"])
