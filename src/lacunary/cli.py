@@ -24,9 +24,6 @@ EXIT_NOT_FOUND = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-COMMANDS = ("eval", "digits", "gaps", "forge", "check", "counterexample",
-            "diophantine", "hunt")
-
 _FINITE_NOTE = ("at least one index set is a finite explicit list; its series "
                 "is a rational partial sum and is trivially dependent with 1")
 
@@ -56,16 +53,11 @@ def _get(spec: dict, field: str, kind, default=_MISSING, minimum=None, where=Non
     return val
 
 
-def _parse_pair(raw, field: str) -> tuple[int, int]:
+def _pair(raw, field: str, message: str = "expected a pair [i, j] of integers") -> tuple[int, int]:
     if (not isinstance(raw, (list, tuple)) or len(raw) != 2
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in raw)):
-        raise SpecError(field, "expected a pair [i, j] of integers")
+        raise SpecError(field, message)
     return (raw[0], raw[1])
-
-
-def _parse_family(spec: dict, field: str = "family"):
-    raw = _get(spec, field, list)
-    return [_parse_pair(p, f"{field}[{idx}]") for idx, p in enumerate(raw)]
 
 
 def _parse_series(item: dict, where: str) -> SeriesSpec:
@@ -82,183 +74,52 @@ def _parse_series(item: dict, where: str) -> SeriesSpec:
     return SeriesSpec(i, j, index_set, coeff)
 
 
-def _parse_terms(spec: dict) -> tuple[list[tuple[int, SeriesSpec]], bool]:
-    raw = _get(spec, "terms", list, default=[])
-    terms: list[tuple[int, SeriesSpec]] = []
+def _items(raw: list, field: str):
+    """(where, item) for each entry of a list of objects."""
     for idx, item in enumerate(raw):
-        where = f"terms[{idx}]"
+        where = f"{field}[{idx}]"
         if not isinstance(item, dict):
             raise SpecError(where, "expected an object")
-        weight = _get(item, "weight", int, default=1)
-        terms.append((weight, _parse_series(item, where)))
-    return terms, any(s.set.is_finite for _, s in terms)
+        yield where, item
 
 
-def _normalized_term(weight: int, spec: SeriesSpec) -> dict:
-    return {"weight": weight, **spec.to_json()}
+# ------------------------------------------------------------- field table
+# Each parser takes (raw JSON value, the fields read so far) and returns
+# (value, normalized JSON).
+
+def _parse_terms(raw: list, fields: dict):
+    terms = tuple((_get(item, "weight", int, 1, where=where), _parse_series(item, where))
+                  for where, item in _items(raw, "terms"))
+    return terms, [{"weight": w, **s.to_json()} for w, s in terms]
 
 
-def _form_from_spec(spec: dict) -> tuple[LinearFormSpec, dict, bool]:
-    base = _get(spec, "base", int, minimum=2)
-    constant = _get(spec, "constant", int, default=0)
-    terms, finite = _parse_terms(spec)
-    form = LinearFormSpec(base, constant, tuple(terms))
-    normalized = {
-        "base": base,
-        "constant": constant,
-        "terms": [_normalized_term(w, s) for w, s in terms],
-    }
-    return form, normalized, finite
+def _parse_family(raw: list, fields: dict):
+    family = [_pair(p, f"family[{idx}]") for idx, p in enumerate(raw)]
+    return family, [list(p) for p in family]
 
 
-# ---------------------------------------------------------------- commands
-
-def _run_eval(spec: dict):
-    form, normalized, finite = _form_from_spec(spec)
-    digits = _get(spec, "digits", int, minimum=1)
-    normalized["command"] = "eval"
-    normalized["digits"] = digits
-    value = series.eval_linear_form(form, digits)
-    rendering = series.render_digits(value, digits)
-    result = {
-        "value_digits": rendering.digits,
-        "uncertain_positions": list(rendering.uncertain),
-        "sign": "-" if value.mantissa < 0 else "+",
-        "decimal": value.to_decimal(min(digits, 48)),
-        "error_bound": fraction_sci(value.error_bound),
-        "exact": value.is_exact,
-        "base": form.base,
-        "scale": value.scale,
-    }
-    if finite:
-        result["finite_set_note"] = _FINITE_NOTE
-    return normalized, result, "ok", EXIT_OK
-
-
-def _run_digits(spec: dict):
-    form, normalized, finite = _form_from_spec(spec)
-    digits = _get(spec, "digits", int, minimum=1)
-    count = _get(spec, "count", int, default=digits, minimum=1)
-    if count > digits:
-        raise SpecError("count", "cannot exceed 'digits'")
-    normalized["command"] = "digits"
-    normalized["digits"] = digits
-    normalized["count"] = count
-    value = series.eval_linear_form(form, digits)
-    rendering = series.render_digits(value, count)
-    result = {
-        "digits": rendering.digits,
-        "uncertain_positions": list(rendering.uncertain),
-        "sign": "-" if value.mantissa < 0 else "+",
-        "error_bound": fraction_sci(value.error_bound),
-    }
-    if finite:
-        result["finite_set_note"] = _FINITE_NOTE
-    return normalized, result, "ok", EXIT_OK
-
-
-def _run_gaps(spec: dict):
-    form, normalized, finite = _form_from_spec(spec)
-    rng = _get(spec, "range", list)
-    if len(rng) != 2 or not all(isinstance(x, int) and not isinstance(x, bool) for x in rng):
-        raise SpecError("range", "expected [start, end] with integers")
-    start, end = rng
+def _parse_range(raw: list, fields: dict):
+    start, end = _pair(raw, "range", "expected [start, end] with integers")
     if not 1 <= start <= end:
         raise SpecError("range", "need 1 <= start <= end")
-    normalized["command"] = "gaps"
-    normalized["range"] = [start, end]
-    runs = series.gap_scan(form, start, end)
-    result = {"runs": [[s, l] for s, l in runs],
-              "longest": max((l for _, l in runs), default=0)}
-    if finite:
-        result["finite_set_note"] = _FINITE_NOTE
-    return normalized, result, "ok", EXIT_OK
+    return (start, end), [start, end]
 
 
-def _default_family() -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, 5) for j in range(2, 5)]
+def _parse_count(raw, fields: dict):
+    count = fields["digits"] if raw is None else raw
+    if count > fields["digits"]:
+        raise SpecError("count", "cannot exceed 'digits'")
+    return count, count
 
 
-def _run_forge(spec: dict):
-    i0 = _get(spec, "i0", int, minimum=1)
-    j0 = _get(spec, "j0", int, minimum=2)
-    window = _get(spec, "N", int, minimum=1)
-    d = _get(spec, "d", int, default=1, minimum=1)
-    h = _get(spec, "h", int, default=1, minimum=1)
-    p_min = _get(spec, "p_min", int, default=2, minimum=2)
-    family = (_parse_family(spec) if "family" in spec else _default_family())
-    scan_budget = _get(spec, "scan_budget", int, default=forge.DEFAULT_SCAN_LIMIT, minimum=1)
-    attempt_budget = _get(spec, "attempt_budget", int, default=forge.DEFAULT_PRIME_BUDGET, minimum=1)
-    retries = _get(spec, "retries", int, default=32, minimum=1)
-    require_large = _get(spec, "require_large", bool, default=True)
-
-    normalized = {
-        "command": "forge", "i0": i0, "j0": j0, "N": window, "d": d, "h": h,
-        "p_min": p_min, "family": [list(p) for p in family],
-        "scan_budget": scan_budget, "attempt_budget": attempt_budget,
-        "retries": retries, "require_large": require_large,
-    }
-    cert = forge.build_certificate(i0, j0, window, family, d, h, p_min,
-                                   scan_budget, attempt_budget, retries,
-                                   require_large)
-    return normalized, cert.to_json(), "ok", EXIT_OK
-
-
-def _run_check(spec: dict):
-    family = dependence.FamilyIndex.of(_parse_family(spec))
-    normalized = {"command": "check", "family": [list(p) for p in family.pairs]}
-    report = dependence.independence_conditions(family)
-    status = "ok" if report.satisfied else "violation"
-    code = EXIT_OK if report.satisfied else EXIT_NOT_FOUND
-    return normalized, report.to_json(), status, code
-
-
-def _run_counterexample(spec: dict):
-    pair1 = _parse_pair(_get(spec, "pair1", list), "pair1")
-    pair2 = _parse_pair(_get(spec, "pair2", list), "pair2")
-    base = _get(spec, "base", int, minimum=2)
-    precision = _get(spec, "precision", int, default=200, minimum=1)
-    normalized = {"command": "counterexample", "pair1": list(pair1),
-                  "pair2": list(pair2), "base": base, "precision": precision}
-    try:
-        cert = dependence.build_counterexample(pair1, pair2, base, precision)
-    except dependence.NotApplicable as exc:
-        return normalized, {"applicable": False, "reason": str(exc)}, "not-applicable", EXIT_NOT_FOUND
-    status = "ok" if cert.verified else "violation"
-    code = EXIT_OK if cert.verified else EXIT_NOT_FOUND
-    return normalized, {"applicable": True, **cert.to_json()}, status, code
-
-
-def _run_diophantine(spec: dict):
-    i0 = _get(spec, "i0", int, minimum=1)
-    j0 = _get(spec, "j0", int, minimum=2)
-    i = _get(spec, "i", int, minimum=1)
-    j = _get(spec, "j", int, minimum=2)
-    u_max = _get(spec, "u_max", int, minimum=1)
-    x_max = _get(spec, "x_max", int, minimum=1)
-    normalized = {"command": "diophantine", "i0": i0, "j0": j0, "i": i, "j": j,
-                  "u_max": u_max, "x_max": x_max}
-    sols = dependence.enumerate_equation_solutions(i0, j0, i, j, u_max, x_max)
-    result = {
-        "solutions": [s.to_json() for s in sols],
-        "count": len(sols),
-        # Below is an observed cutoff, not a proof of finiteness.
-        "empirical_bound": max((s.x for s in sols), default=0),
-    }
-    return normalized, result, "ok", EXIT_OK
-
-
-def _hunt_value(item: dict, base: int, precision: int, where: str) -> tuple[FixedPointValue, dict, bool]:
-    if not isinstance(item, dict):
-        raise SpecError(where, "expected an object")
-    kind = _get(item, "kind", str)
+def _hunt_value(item: dict, base: int, precision: int, where: str) -> tuple[FixedPointValue, dict]:
+    kind = _get(item, "kind", str, where=where)
     if kind == "int":
-        value = _get(item, "value", int)
-        scale = precision + GUARD_DIGITS
-        return (FixedPointValue.from_int(value, base, scale),
-                {"kind": "int", "value": value}, False)
+        value = _get(item, "value", int, where=where)
+        return (FixedPointValue.from_int(value, base, precision + GUARD_DIGITS),
+                {"kind": "int", "value": value})
     if kind == "digits":
-        raw = _get(item, "digits", str)
+        raw = _get(item, "digits", str, where=where)
         if len(raw) < precision:
             raise SpecError(f"{where}.digits",
                             f"need at least {precision} digits for this precision")
@@ -267,57 +128,160 @@ def _hunt_value(item: dict, base: int, precision: int, where: str) -> tuple[Fixe
         except ValueError as exc:
             raise SpecError(f"{where}.digits", f"not base-{base} digits") from exc
         return (FixedPointValue(base, mantissa, len(raw), Fraction(1, base ** len(raw))),
-                {"kind": "digits", "digits": raw}, False)
+                {"kind": "digits", "digits": raw})
     if kind == "series":
-        spec_obj = _parse_series(item, where)
-        return (series.eval_series(spec_obj, base, precision),
-                {"kind": "series", **spec_obj.to_json()}, spec_obj.set.is_finite)
+        spec = _parse_series(item, where)
+        return series.eval_series(spec, base, precision), {"kind": "series", **spec.to_json()}
     raise SpecError(f"{where}.kind", "expected one of: int, digits, series")
 
 
-def _run_hunt(spec: dict):
-    base = _get(spec, "base", int, minimum=2)
-    precision = _get(spec, "precision", int, minimum=50)
-    coeff_bound = _get(spec, "coeff_bound", int, default=1000, minimum=1)
-    raw_values = _get(spec, "values", list)
-    if len(raw_values) < 2:
+def _parse_values(raw: list, fields: dict):
+    if len(raw) < 2:
         raise SpecError("values", "need at least two values")
-    values, norm_values, finite = [], [], False
-    for idx, item in enumerate(raw_values):
-        v, norm, fin = _hunt_value(item, base, precision, f"values[{idx}]")
-        values.append(v)
-        norm_values.append(norm)
-        finite = finite or fin
-    normalized = {"command": "hunt", "base": base, "precision": precision,
-                  "coeff_bound": coeff_bound, "values": norm_values}
-    query = relations.RelationQuery(tuple(values), coeff_bound, precision)
+    parsed = [_hunt_value(item, fields["base"], fields["precision"], where)
+              for where, item in _items(raw, "values")]
+    return [v for v, _ in parsed], [n for _, n in parsed]
+
+
+_PARSERS = {
+    "terms": _parse_terms,
+    "family": _parse_family,
+    "pair1": lambda raw, fields: (_pair(raw, "pair1"), list(raw)),
+    "pair2": lambda raw, fields: (_pair(raw, "pair2"), list(raw)),
+    "range": _parse_range,
+    "count": _parse_count,
+    "values": _parse_values,
+}
+
+# Each subcommand's fields in read order, as (name, JSON type, default,
+# minimum); a default of _MISSING makes the field required.
+_FORM = (("base", int, _MISSING, 2), ("constant", int, 0, None), ("terms", list, [], None))
+_FIELDS = {
+    "eval": _FORM + (("digits", int, _MISSING, 1),),
+    # count defaults to digits (None is no JSON int, so it only marks absence)
+    "digits": _FORM + (("digits", int, _MISSING, 1), ("count", int, None, 1)),
+    "gaps": _FORM + (("range", list, _MISSING, None),),
+    "forge": (("i0", int, _MISSING, 1), ("j0", int, _MISSING, 2), ("N", int, _MISSING, 1),
+              ("d", int, 1, 1), ("h", int, 1, 1), ("p_min", int, 2, 2),
+              ("family", list, [[i, j] for i in range(1, 5) for j in range(2, 5)], None),
+              ("scan_budget", int, forge.DEFAULT_SCAN_LIMIT, 1),
+              ("attempt_budget", int, forge.DEFAULT_PRIME_BUDGET, 1),
+              ("retries", int, 32, 1), ("require_large", bool, True, None)),
+    "check": (("family", list, _MISSING, None),),
+    "counterexample": (("pair1", list, _MISSING, None), ("pair2", list, _MISSING, None),
+                       ("base", int, _MISSING, 2), ("precision", int, 200, 1)),
+    "diophantine": (("i0", int, _MISSING, 1), ("j0", int, _MISSING, 2),
+                    ("i", int, _MISSING, 1), ("j", int, _MISSING, 2),
+                    ("u_max", int, _MISSING, 1), ("x_max", int, _MISSING, 1)),
+    "hunt": (("base", int, _MISSING, 2), ("precision", int, _MISSING, 50),
+             ("coeff_bound", int, 1000, 1), ("values", list, _MISSING, None)),
+}
+COMMANDS = tuple(_FIELDS)
+
+
+def _read_fields(command: str, spec: dict) -> tuple[dict, dict]:
+    """(parsed fields, normalized spec), reading _FIELDS[command] in order."""
+    fields, normalized = {}, {"command": command}
+    for name, kind, default, minimum in _FIELDS[command]:
+        raw = _get(spec, name, kind, default, minimum)
+        parse = _PARSERS.get(name)
+        fields[name], normalized[name] = parse(raw, fields) if parse else (raw, raw)
+    return fields, normalized
+
+
+# ---------------------------------------------------------------- commands
+# A runner takes the parsed fields and returns (result, status, exit code).
+
+def _form(f: dict) -> LinearFormSpec:
+    return LinearFormSpec(f["base"], f["constant"], f["terms"])
+
+
+def _run_eval(f: dict):
+    value = series.eval_linear_form(_form(f), f["digits"])
+    rendering = series.render_digits(value, f["digits"])
+    return {
+        "value_digits": rendering.digits,
+        "uncertain_positions": list(rendering.uncertain),
+        "sign": "-" if value.mantissa < 0 else "+",
+        "decimal": value.to_decimal(min(f["digits"], 48)),
+        "error_bound": fraction_sci(value.error_bound),
+        "exact": value.is_exact,
+        "base": f["base"],
+        "scale": value.scale,
+    }, "ok", EXIT_OK
+
+
+def _run_digits(f: dict):
+    value = series.eval_linear_form(_form(f), f["digits"])
+    rendering = series.render_digits(value, f["count"])
+    return {
+        "digits": rendering.digits,
+        "uncertain_positions": list(rendering.uncertain),
+        "sign": "-" if value.mantissa < 0 else "+",
+        "error_bound": fraction_sci(value.error_bound),
+    }, "ok", EXIT_OK
+
+
+def _run_gaps(f: dict):
+    runs = series.gap_scan(_form(f), *f["range"])
+    return {"runs": [[s, l] for s, l in runs],
+            "longest": max((l for _, l in runs), default=0)}, "ok", EXIT_OK
+
+
+def _run_forge(f: dict):
+    cert = forge.build_certificate(
+        f["i0"], f["j0"], f["N"], f["family"], f["d"], f["h"], f["p_min"],
+        f["scan_budget"], f["attempt_budget"], f["retries"], f["require_large"])
+    return cert.to_json(), "ok", EXIT_OK
+
+
+def _run_check(f: dict):
+    report = dependence.independence_conditions(dependence.FamilyIndex.of(f["family"]))
+    if report.satisfied:
+        return report.to_json(), "ok", EXIT_OK
+    return report.to_json(), "violation", EXIT_NOT_FOUND
+
+
+def _run_counterexample(f: dict):
+    try:
+        cert = dependence.build_counterexample(f["pair1"], f["pair2"], f["base"], f["precision"])
+    except dependence.NotApplicable as exc:
+        return {"applicable": False, "reason": str(exc)}, "not-applicable", EXIT_NOT_FOUND
+    status, code = ("ok", EXIT_OK) if cert.verified else ("violation", EXIT_NOT_FOUND)
+    return {"applicable": True, **cert.to_json()}, status, code
+
+
+def _run_diophantine(f: dict):
+    sols = dependence.enumerate_equation_solutions(**f)
+    return {
+        "solutions": [s.to_json() for s in sols],
+        "count": len(sols),
+        # Below is an observed cutoff, not a proof of finiteness.
+        "empirical_bound": max((s.x for s in sols), default=0),
+    }, "ok", EXIT_OK
+
+
+def _run_hunt(f: dict):
+    coeff_bound, precision = f["coeff_bound"], f["precision"]
+    query = relations.RelationQuery(tuple(f["values"]), coeff_bound, precision)
     report = relations.search_relations(query)
     result: dict = {"coeff_bound": coeff_bound, "precision": precision}
-    if finite:
-        result["finite_set_note"] = _FINITE_NOTE
     if report.relation is not None:
         result["relation"] = {
             "coefficients": list(report.relation.coefficients),
             "residual": fraction_sci(report.relation.residual),
         }
-        return normalized, result, "ok", EXIT_OK
+        return result, "ok", EXIT_OK
     result["relation"] = None
     result["residual_floor"] = fraction_sci(report.residual_floor)
     result["exclusion"] = (f"no relation with max|c| <= {coeff_bound} "
-                           f"at {precision} base-{base} digits")
-    return normalized, result, "not-found", EXIT_NOT_FOUND
+                           f"at {precision} base-{f['base']} digits")
+    return result, "not-found", EXIT_NOT_FOUND
 
 
-_RUNNERS = {
-    "eval": _run_eval,
-    "digits": _run_digits,
-    "gaps": _run_gaps,
-    "forge": _run_forge,
-    "check": _run_check,
-    "counterexample": _run_counterexample,
-    "diophantine": _run_diophantine,
-    "hunt": _run_hunt,
-}
+_RUNNERS = {"eval": _run_eval, "digits": _run_digits, "gaps": _run_gaps, "forge": _run_forge,
+            "check": _run_check, "counterexample": _run_counterexample,
+            "diophantine": _run_diophantine, "hunt": _run_hunt}
 
 _PRECISION_FIELD = {"eval": "digits", "digits": "digits",
                     "counterexample": "precision", "hunt": "precision"}
@@ -329,7 +293,11 @@ def run_job(command: str, spec: dict) -> tuple[dict, int]:
     if "command" in spec and spec["command"] != command:
         raise SpecError("command", f"spec says {spec['command']!r} but the "
                                    f"{command!r} subcommand was invoked")
-    normalized, result, status, code = _RUNNERS[command](spec)
+    fields, normalized = _read_fields(command, spec)
+    result, status, code = _RUNNERS[command](fields)
+    items = normalized.get("terms", []) + normalized.get("values", [])
+    if any(item.get("set", {}).get("kind") in sets.FINITE_KINDS for item in items):
+        result["finite_set_note"] = _FINITE_NOTE
     report = {
         "tool": "lacunary",
         "version": __version__,

@@ -16,15 +16,17 @@ from fractions import Fraction
 # The Pell core lives in arith, below both this module and sets; SquareD and
 # pell_fundamental stay importable from here for existing callers.
 from .arith import (BudgetExceeded, PellSolution, SquareD,  # noqa: F401
-                    exponent_images, factor, int_nth_root, pell_fundamental, pell_iter)
+                    exponent_range, factor, int_nth_root, pell_fundamental, pell_iter)
 from . import sets as sets_mod
 from .series import CoeffFn, LinearFormSpec, SeriesSpec, eval_linear_form, fraction_sci
-from .sets import ExponentSet, naturals
+from .sets import ExponentSet
 
 
 # Largest x_max enumerate_equation_solutions scans (each x costs two root
-# extractions); a larger one raises BudgetExceeded.
+# extractions) and most candidates y it examines over all x; past either it
+# raises BudgetExceeded.
 MAX_X = 10**6
+MAX_CANDIDATES = 10**6
 
 
 class NotApplicable(Exception):
@@ -259,18 +261,21 @@ def enumerate_equation_solutions(i0: int, j0: int, i: int, j: int,
     This is a bounded scan, never a finiteness proof. For each x, two root
     extractions bound the y with i*y**j within u_max of i0*x**j0. Solutions
     come by x, then u, then sign ("+" first). Raises BudgetExceeded when
-    x_max is above MAX_X.
+    x_max is above MAX_X, or, during the scan, once the candidate y counted
+    so far pass MAX_CANDIDATES.
     """
     if u_max < 1 or x_max < 1:
         raise ValueError("u_max and x_max must be >= 1")
     if x_max > MAX_X:
         raise BudgetExceeded(f"x_max = {x_max} is above the cap of {MAX_X}")
-    nat = naturals()
-    out = []
+    out, candidates = [], 0
     for x in range(1, x_max + 1):
         lead = i0 * x**j0
-        near = sorted((abs(n - lead), n > lead, y)
-                      for n, y in exponent_images(max(1, lead - u_max), lead + u_max, i, j, nat)
-                      if n != lead)
+        ys = exponent_range(max(1, lead - u_max), lead + u_max, i, j)
+        candidates += ys.stop - ys.start
+        if candidates > MAX_CANDIDATES:
+            raise BudgetExceeded(f"u_max = {u_max} gives {candidates} candidates by x = {x}, "
+                                 f"above the cap of {MAX_CANDIDATES}")
+        near = sorted((abs(n - lead), n > lead, y) for y in ys if (n := i * y**j) != lead)
         out.extend(EquationSolution(x, y, u, "-" if above else "+") for u, above, y in near)
     return out

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cache
 
 from .arith import BudgetExceeded, exponent_images, exponent_range, int_nth_root
-from .sets import ExponentSet, set_enumerate
+from .sets import ExponentSet, json_int, set_enumerate
 
 # Guard digits appended beyond the requested precision; keeps carry
 # uncertainty away from the digits a caller asked for at desk scale.
@@ -87,12 +87,16 @@ class CoeffFn:
             raise ValueError("coeff spec must be an object with a 'kind' field")
         kind = obj["kind"]
         if kind == "const":
-            return cls.constant(obj.get("value", 1))
+            return cls.constant(json_int("value", obj.get("value", 1)))
         if kind == "alternating":
             return cls.alternating()
         if kind == "table":
-            table = {int(k): int(v) for k, v in obj["values"].items()}
-            return cls.from_table(table, obj.get("bound"))
+            values = obj["values"]
+            if not isinstance(values, dict):
+                raise ValueError("'values' must be an object")
+            table = {int(k): json_int(f"values.{k}", v) for k, v in values.items()}
+            bound = obj.get("bound")
+            return cls.from_table(table, None if bound is None else json_int("bound", bound))
         raise ValueError(f"unknown coefficient kind {kind!r}")
 
 

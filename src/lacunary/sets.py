@@ -140,7 +140,24 @@ def from_json(obj: dict) -> ExponentSet:
         raise ValueError("set spec must be an object with a 'kind' field")
     rules = _rules(obj["kind"])
     spec = {"min": 1, **rules.defaults, **obj}
-    return rules.factory(*(spec[name] for name in rules.fields), spec["min"])
+    names = (*rules.fields, "min")
+    args = [spec[name] for name in names]
+    for name, value in zip(names, args):
+        if name != "members":
+            json_int(name, value)
+        elif isinstance(value, list):
+            for idx, member in enumerate(value):
+                json_int(f"members[{idx}]", member)
+        else:
+            raise ValueError("'members' must be a list of integers")
+    return rules.factory(*args)
+
+
+def json_int(name: str, value) -> int:
+    """value if it is an integer and not a boolean; else a ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"'{name}' must be an integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------- set kinds
@@ -251,6 +268,8 @@ _KINDS = {
         fields=("D", "scale"),
         defaults={"scale": 1}),
 }
+
+FINITE_KINDS = frozenset(kind for kind, rules in _KINDS.items() if rules.finite)
 
 
 def _prime_sieve(limit: int) -> list[int]:

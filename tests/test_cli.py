@@ -4,15 +4,20 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from lacunary.cli import (
+    _FIELDS,
+    _MISSING,
     EXIT_BUDGET,
     EXIT_INPUT,
     EXIT_NOT_FOUND,
     EXIT_OK,
     main,
 )
-from lacunary import series
+from lacunary import dependence, series
 from lacunary.series import GUARD_DIGITS
 
 from oracles import brute_digit_string, series_partial_sum, sieve_primes
@@ -278,6 +283,42 @@ def test_term_errors_name_their_term(tmp_path, capsys):
     assert "field 'terms[0].i': must be >= 1" in err
 
 
+def test_item_fields_name_their_item(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"base": 2, "digits": 20, "terms": [{**ALPHA_TERM, "weight": "x"}]})
+    code, out, err = run_cli(["eval", "--spec", spec], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "spec error: field 'terms[0].weight': expected int\n"
+
+    for value, message in (({"value": 2}, "field 'values[1].kind': required field is missing"),
+                           ({"kind": "int"}, "field 'values[1].value': required field is missing"),
+                           ({"kind": "digits", "digits": 1}, "field 'values[1].digits': expected str")):
+        spec = write_spec(tmp_path, {"base": 2, "precision": 60, "values": [
+            {"kind": "int", "value": 1}, value]}, name="hunt.json")
+        code, out, err = run_cli(["hunt", "--spec", spec], capsys)
+        assert (code, out, err) == (EXIT_INPUT, "", f"spec error: {message}\n")
+
+
+@pytest.mark.parametrize("change, field, message", [
+    ({"coeff": {"kind": "const", "value": 2.5}}, "coeff", "'value' must be an integer, got 2.5"),
+    ({"coeff": {"kind": "const", "value": True}}, "coeff", "'value' must be an integer, got True"),
+    ({"coeff": {"kind": "table", "values": {"1": 1.5}}}, "coeff",
+     "'values.1' must be an integer, got 1.5"),
+    ({"coeff": {"kind": "table", "values": [1]}}, "coeff", "'values' must be an object"),
+    ({"set": {"kind": "explicit", "members": [1.5, 2]}}, "set",
+     "'members[0]' must be an integer, got 1.5"),
+    ({"set": {"kind": "geometric", "u": 1, "j": 2.0}}, "set", "'j' must be an integer, got 2.0"),
+    ({"set": {"kind": "pell_x", "D": 2.0}}, "set", "'D' must be an integer, got 2.0"),
+    ({"set": {"kind": "naturals", "min": 2.5}}, "set", "'min' must be an integer, got 2.5"),
+    ({"set": {"kind": "pell_y", "D": 2, "scale": True}}, "set",
+     "'scale' must be an integer, got True"),
+])
+def test_non_integer_set_and_coeff_parameters_exit_2(tmp_path, capsys, change, field, message):
+    spec = write_spec(tmp_path, {"base": 10, "digits": 5, "terms": [{**ALPHA_TERM, **change}]})
+    code, out, err = run_cli(["eval", "--spec", spec], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"spec error: field 'terms[0].{field}': {message}\n"
+
+
 def test_gaps_range_above_the_candidate_cap_exits_3(tmp_path, capsys):
     # [1, 10**13] holds about 3.2 million squares, past the cap of 10**6; the
     # count comes from two roots, so the job stops without enumerating.
@@ -307,6 +348,28 @@ def test_diophantine_x_max_above_the_cap_exits_3(tmp_path, capsys):
     code, out, err = run_cli(["diophantine", "--spec", spec], capsys)
     assert code == EXIT_BUDGET and out == ""
     assert err == "budget exhausted: x_max = 1000001 is above the cap of 1000000\n"
+
+
+def test_diophantine_u_max_above_the_candidate_cap_exits_3(tmp_path, capsys):
+    # x = 1 alone has about 10**7 candidates y with y**2 within u_max of 1.
+    spec = write_spec(tmp_path, {"i0": 1, "j0": 3, "i": 1, "j": 2,
+                                 "u_max": 10**14, "x_max": 3})
+    code, out, err = run_cli(["diophantine", "--spec", spec], capsys)
+    assert code == EXIT_BUDGET and out == ""
+    assert err == ("budget exhausted: u_max = 100000000000000 gives 10000000 candidates "
+                   "by x = 1, above the cap of 1000000\n")
+
+
+def test_diophantine_candidate_cap_boundary(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dependence, "MAX_CANDIDATES", 10)
+    # x = 1: the window [1, 1 + u_max] holds the squares of 1..isqrt(1 + u_max)
+    at_cap = write_spec(tmp_path, {"i0": 1, "j0": 3, "i": 1, "j": 2, "u_max": 99, "x_max": 1})
+    code, out, _ = run_cli(["diophantine", "--spec", at_cap], capsys)
+    assert code == EXIT_OK and json.loads(out)["result"]["count"] == 9
+    past = write_spec(tmp_path, {"i0": 1, "j0": 3, "i": 1, "j": 2, "u_max": 120, "x_max": 1},
+                      name="past.json")
+    code, _, err = run_cli(["diophantine", "--spec", past], capsys)
+    assert code == EXIT_BUDGET and "gives 11 candidates by x = 1" in err
 
 
 def test_malformed_specs(tmp_path, capsys):
@@ -388,3 +451,20 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "lacunary.cli", "eval", "--spec", "/nonexistent.json"],
         capture_output=True, text=True)
     assert proc.returncode == EXIT_INPUT
+
+
+def test_readme_spec_fields_match_the_field_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in readme.splitlines() if line.count("|") == 6]
+    assert rows[0] == ["command", "field", "type", "default", "minimum"]
+    types = {"integer": int, "list": list, "boolean": bool}
+    assert [(c, f, types[t], int(m) if m else None) for c, f, t, _, m in rows[2:]] == [
+        (command, name, kind, minimum)
+        for command, fields in _FIELDS.items() for name, kind, _, minimum in fields]
+    defaults = [default for fields in _FIELDS.values() for _, _, default, _ in fields]
+    for (_, name, _, cell, _), default in zip(rows[2:], defaults):
+        if default is _MISSING:
+            assert cell.startswith("required"), name
+        elif cell.startswith("`"):
+            assert json.loads(cell.strip("`")) == default, name

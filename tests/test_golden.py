@@ -12,7 +12,6 @@ with its subcommand, extra arguments, exit code and exact stderr.
 """
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -54,9 +53,5 @@ def test_corpus_covers_every_command_and_kind():
 def test_error_matches_saved_stderr(case, tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(case["spec"]), encoding="utf-8")
-    try:
-        code = main([case["command"], "--spec", str(spec), *case.get("args", [])])
-    except Exception as exc:  # an uncaught exception ends the process with exit 1
-        code = 1
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    code = main([case["command"], "--spec", str(spec), *case.get("args", [])])
     assert (code, capsys.readouterr().err) == (case["exit"], case["stderr"])
