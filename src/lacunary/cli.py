@@ -60,6 +60,14 @@ def _pair(raw, field: str, message: str = "expected a pair [i, j] of integers") 
     return (raw[0], raw[1])
 
 
+def _index_pair(raw, field: str) -> tuple[int, int]:
+    """An exponent pair [i, j] with i >= 1 and j >= 2."""
+    i, j = _pair(raw, field)
+    if i < 1 or j < 2:
+        raise SpecError(field, f"need i >= 1 and j >= 2, got [{i}, {j}]")
+    return i, j
+
+
 def _parse_series(item: dict, where: str) -> SeriesSpec:
     i = _get(item, "i", int, minimum=1, where=where)
     j = _get(item, "j", int, minimum=2, where=where)
@@ -94,7 +102,7 @@ def _parse_terms(raw: list, fields: dict):
 
 
 def _parse_family(raw: list, fields: dict):
-    family = [_pair(p, f"family[{idx}]") for idx, p in enumerate(raw)]
+    family = [_index_pair(p, f"family[{idx}]") for idx, p in enumerate(raw)]
     return family, [list(p) for p in family]
 
 
@@ -131,7 +139,11 @@ def _hunt_value(item: dict, base: int, precision: int, where: str) -> tuple[Fixe
                 {"kind": "digits", "digits": raw})
     if kind == "series":
         spec = _parse_series(item, where)
-        return series.eval_series(spec, base, precision), {"kind": "series", **spec.to_json()}
+        try:
+            value = series.eval_series(spec, base, precision)
+        except series.MissingCoefficient as exc:
+            raise SpecError(f"{where}.coeff", str(exc)) from exc
+        return value, {"kind": "series", **spec.to_json()}
     raise SpecError(f"{where}.kind", "expected one of: int, digits, series")
 
 
@@ -146,8 +158,8 @@ def _parse_values(raw: list, fields: dict):
 _PARSERS = {
     "terms": _parse_terms,
     "family": _parse_family,
-    "pair1": lambda raw, fields: (_pair(raw, "pair1"), list(raw)),
-    "pair2": lambda raw, fields: (_pair(raw, "pair2"), list(raw)),
+    "pair1": lambda raw, fields: (_index_pair(raw, "pair1"), list(raw)),
+    "pair2": lambda raw, fields: (_index_pair(raw, "pair2"), list(raw)),
     "range": _parse_range,
     "count": _parse_count,
     "values": _parse_values,
@@ -294,7 +306,12 @@ def run_job(command: str, spec: dict) -> tuple[dict, int]:
         raise SpecError("command", f"spec says {spec['command']!r} but the "
                                    f"{command!r} subcommand was invoked")
     fields, normalized = _read_fields(command, spec)
-    result, status, code = _RUNNERS[command](fields)
+    try:
+        result, status, code = _RUNNERS[command](fields)
+    except series.MissingCoefficient as exc:
+        # only a spec's own terms carry coefficient tables
+        idx = next(k for k, (_, s) in enumerate(fields["terms"]) if s.coeff is exc.coeff)
+        raise SpecError(f"terms[{idx}].coeff", str(exc)) from exc
     items = normalized.get("terms", []) + normalized.get("values", [])
     if any(item.get("set", {}).get("kind") in sets.FINITE_KINDS for item in items):
         result["finite_set_note"] = _FINITE_NOTE

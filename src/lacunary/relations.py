@@ -1,9 +1,9 @@
 """Empirical integer-relation detection over fixed-point constants.
 
 The classic lattice: an identity block augmented with the values scaled to
-b**precision and rounded. Reduction is exact-rational LLL, so runs are fully
-deterministic; a "no relation" outcome is reported as an exclusion bound,
-never as an independence claim.
+b**precision and rounded. Reduction is integral LLL (de Weger, J. Number
+Theory 26, 1987), exact and fully deterministic; a "no relation" outcome is
+reported as an exclusion bound, never as an independence claim.
 """
 
 from __future__ import annotations
@@ -31,61 +31,61 @@ def _dot(a, b) -> int:
 
 
 def lll_reduce(rows, delta: Fraction = LOVASZ_DELTA) -> list[list[int]]:
-    """LLL reduction of an integer basis, all arithmetic exact.
-
-    Gram-Schmidt data is kept as rationals and patched incrementally through
-    size reductions and swaps; rows must be linearly independent.
-    """
-    if not Fraction(1, 4) < delta < 1:
+    """Integral LLL (Cohen, *A Course in Computational Algebraic Number
+    Theory*, Alg. 2.6.7): Gram determinants d[0..n] and lam[k][j] =
+    d[j+1]*mu[k][j] are integers, every division is exact, and a row's data
+    is computed when the scan first reaches it. Each branch matches
+    exact-rational LLL with full size reduction, so the reduced basis is
+    identical to it. Rows must be linearly independent."""
+    p, q = delta.as_integer_ratio()
+    if not q < 4 * p < 4 * q:
         raise ValueError("delta must lie in (1/4, 1)")
     basis = [[int(x) for x in row] for row in rows]
     n = len(basis)
     if n <= 1:
         return basis
 
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    B = [Fraction(0)] * n
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
 
-    def refresh_row(k: int) -> None:
-        for j in range(k):
-            s = Fraction(_dot(basis[k], basis[j]))
-            for l in range(j):
-                s -= mu[j][l] * mu[k][l] * B[l]
-            mu[k][j] = s / B[j]
-        bk = Fraction(_dot(basis[k], basis[k]))
-        for l in range(k):
-            bk -= mu[k][l] ** 2 * B[l]
-        if bk <= 0:
+    def gram_row(k: int) -> None:
+        for j in range(k + 1):
+            u = _dot(basis[k], basis[j])
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            lam[k][j] = u
+        d[k + 1] = lam[k][k]  # the diagonal slot is scratch
+        if d[k + 1] <= 0:
             raise ValueError("basis rows are linearly dependent")
-        B[k] = bk
 
-    for k in range(n):
-        refresh_row(k)
-
-    k = 1
+    gram_row(0)
+    k, top = 1, 0
     while k < n:
+        if k > top:
+            top = k
+            gram_row(k)
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = _round_frac(mu[k][j])
-            if q:
-                basis[k] = [a - q * c for a, c in zip(basis[k], basis[j])]
+            r = (2 * lk[j] + d[j + 1]) // (2 * d[j + 1])
+            if r:
+                basis[k] = [a - r * c for a, c in zip(basis[k], basis[j])]
                 for l in range(j):
-                    mu[k][l] -= q * mu[j][l]
-                mu[k][j] -= q
-        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+                    lk[l] -= r * lam[j][l]
+                lk[j] -= r * d[j + 1]
+        m = lk[k - 1]
+        if q * d[k + 1] * d[k - 1] >= p * d[k] ** 2 - q * m * m:
             k += 1
         else:
             basis[k - 1], basis[k] = basis[k], basis[k - 1]
-            m = mu[k][k - 1]
-            combined = B[k] + m * m * B[k - 1]
-            mu[k][k - 1] = m * B[k - 1] / combined
-            B[k] = B[k - 1] * B[k] / combined
-            B[k - 1] = combined
             for l in range(k - 1):
-                mu[k - 1][l], mu[k][l] = mu[k][l], mu[k - 1][l]
-            for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+                lam[k - 1][l], lk[l] = lk[l], lam[k - 1][l]
+            new_d = (d[k - 1] * d[k + 1] + m * m) // d[k]
+            for i in range(k + 1, top + 1):
+                li = lam[i]
+                t = li[k]
+                li[k] = (d[k + 1] * li[k - 1] - m * t) // d[k]
+                li[k - 1] = (new_d * t + m * li[k]) // d[k + 1]
+            d[k] = new_d
             k = max(k - 1, 1)
     return basis
 

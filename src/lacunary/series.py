@@ -21,6 +21,14 @@ GUARD_DIGITS = 16
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
+class MissingCoefficient(ValueError):
+    """A coefficient table has no entry for a member of its index set."""
+
+    def __init__(self, coeff: "CoeffFn", member: int):
+        super().__init__(f"coefficient table has no entry for member {member}")
+        self.coeff = coeff
+
+
 class CoeffFn:
     """Bounded nonzero integer coefficients attached to set members.
 
@@ -71,7 +79,7 @@ class CoeffFn:
         try:
             return self.table[n]
         except KeyError:
-            raise ValueError(f"coefficient table has no entry for member {n}") from None
+            raise MissingCoefficient(self, n) from None
 
     def to_json(self) -> dict:
         if self.kind == "const":

@@ -205,3 +205,72 @@ def brute_exclusions(q: int, i0: int, j0: int, window: int,
                 if n % i == 0 and k >= 1 and i * k**j == n:
                     out.append((u, side, i, j, k))
     return out
+
+
+def _round_frac(fr: Fraction) -> int:
+    # floor(fr + 1/2); exact, sign-safe
+    return (2 * fr.numerator + fr.denominator) // (2 * fr.denominator)
+
+
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def brute_lll(rows, delta: Fraction = Fraction(99, 100)) -> list[list[int]]:
+    """LLL reduction of an integer basis, all arithmetic exact `Fraction`s.
+
+    Gram-Schmidt data is kept as rationals and patched incrementally through
+    size reductions and swaps; rows must be linearly independent.
+    """
+    if not Fraction(1, 4) < delta < 1:
+        raise ValueError("delta must lie in (1/4, 1)")
+    basis = [[int(x) for x in row] for row in rows]
+    n = len(basis)
+    if n <= 1:
+        return basis
+
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    B = [Fraction(0)] * n
+
+    def refresh_row(k: int) -> None:
+        for j in range(k):
+            s = Fraction(_dot(basis[k], basis[j]))
+            for l in range(j):
+                s -= mu[j][l] * mu[k][l] * B[l]
+            mu[k][j] = s / B[j]
+        bk = Fraction(_dot(basis[k], basis[k]))
+        for l in range(k):
+            bk -= mu[k][l] ** 2 * B[l]
+        if bk <= 0:
+            raise ValueError("basis rows are linearly dependent")
+        B[k] = bk
+
+    for k in range(n):
+        refresh_row(k)
+
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = _round_frac(mu[k][j])
+            if q:
+                basis[k] = [a - q * c for a, c in zip(basis[k], basis[j])]
+                for l in range(j):
+                    mu[k][l] -= q * mu[j][l]
+                mu[k][j] -= q
+        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+            k += 1
+        else:
+            basis[k - 1], basis[k] = basis[k], basis[k - 1]
+            m = mu[k][k - 1]
+            combined = B[k] + m * m * B[k - 1]
+            mu[k][k - 1] = m * B[k - 1] / combined
+            B[k] = B[k - 1] * B[k] / combined
+            B[k - 1] = combined
+            for l in range(k - 1):
+                mu[k - 1][l], mu[k][l] = mu[k][l], mu[k - 1][l]
+            for i in range(k + 1, n):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            k = max(k - 1, 1)
+    return basis

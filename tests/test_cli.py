@@ -319,6 +319,33 @@ def test_non_integer_set_and_coeff_parameters_exit_2(tmp_path, capsys, change, f
     assert err == f"spec error: field 'terms[0].{field}': {message}\n"
 
 
+@pytest.mark.parametrize("command, payload, field, pair", [
+    ("counterexample", {"pair1": [1, 2], "pair2": [2, 1], "base": 2}, "pair2", "[2, 1]"),
+    ("forge", {"i0": 1, "j0": 2, "N": 2, "family": [[1, 2], [3, 0]]}, "family[1]", "[3, 0]"),
+    ("check", {"family": [[1, 2], [-1, 3]]}, "family[1]", "[-1, 3]"),
+])
+def test_exponent_pairs_name_their_field(tmp_path, capsys, command, payload, field, pair):
+    code, out, err = run_cli([command, "--spec", write_spec(tmp_path, payload)], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"spec error: field '{field}': need i >= 1 and j >= 2, got {pair}\n"
+
+
+def test_range_is_not_an_exponent_pair(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"base": 2, "terms": [ALPHA_TERM], "range": [1, 1]})
+    code, _, err = run_cli(["gaps", "--spec", spec], capsys)
+    assert (code, err) == (EXIT_OK, "")
+
+
+def test_gaps_coefficient_table_miss_names_its_term(tmp_path, capsys):
+    table = {"kind": "table", "values": {"1": 1}}
+    spec = write_spec(tmp_path, {"base": 2, "range": [1, 10], "terms": [
+        ALPHA_TERM, {**ALPHA_TERM, "i": 2, "coeff": table}]})
+    code, out, err = run_cli(["gaps", "--spec", spec], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == ("spec error: field 'terms[1].coeff': "
+                   "coefficient table has no entry for member 2\n")
+
+
 def test_gaps_range_above_the_candidate_cap_exits_3(tmp_path, capsys):
     # [1, 10**13] holds about 3.2 million squares, past the cap of 10**6; the
     # count comes from two roots, so the job stops without enumerating.
