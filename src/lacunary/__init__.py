@@ -34,7 +34,6 @@ from .dependence import (
     enumerate_equation_solutions,
     find_power_collisions,
     independence_conditions,
-    pell_stream,
     square_exponent_pairs,
 )
 from .forge import (
@@ -72,7 +71,6 @@ from .series import (
     exclusion_window_check,
     gap_scan,
     render_digits,
-    tail_bound,
 )
 from .sets import (
     ExponentSet,

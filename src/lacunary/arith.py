@@ -117,17 +117,19 @@ class Factorization:
         return all(e == 1 for _, e in self.factors)
 
 
-def _sieve_trial_primes() -> tuple[int, ...]:
-    limit = _TRIAL_LIMIT
+def prime_sieve(limit: int) -> list[int]:
+    """The primes up to limit, ascending (sieve of Eratosthenes)."""
+    if limit < 2:
+        return []
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return tuple(i for i, f in enumerate(flags) if f)
+            flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
+    return [i for i, f in enumerate(flags) if f]
 
 
-_TRIAL_PRIMES: tuple[int, ...] | None = None
+_TRIAL_PRIMES: list[int] | None = None
 
 
 def _brent_rho(n: int, steps_left: list[int]) -> int:
@@ -177,7 +179,7 @@ def factor(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
         raise ValueError("factor requires n >= 1")
     global _TRIAL_PRIMES
     if _TRIAL_PRIMES is None:
-        _TRIAL_PRIMES = _sieve_trial_primes()
+        _TRIAL_PRIMES = prime_sieve(_TRIAL_LIMIT)
 
     value = n
     found: dict[int, int] = {}

@@ -73,11 +73,11 @@ def _parse_series(item: dict, where: str) -> SeriesSpec:
     j = _get(item, "j", int, minimum=2, where=where)
     try:
         index_set = sets.from_json(_get(item, "set", dict, where=where))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise SpecError(f"{where}.set", str(exc)) from exc
     try:
         coeff = CoeffFn.from_json(item.get("coeff", {"kind": "const", "value": 1}))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise SpecError(f"{where}.coeff", str(exc)) from exc
     return SeriesSpec(i, j, index_set, coeff)
 

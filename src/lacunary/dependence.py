@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# The Pell core lives in arith, below both this module and sets; SquareD and
-# pell_fundamental stay importable from here for existing callers.
-from .arith import (BudgetExceeded, PellSolution, SquareD,  # noqa: F401
+# The Pell core lives in arith, below both this module and sets; SquareD,
+# pell_fundamental and pell_iter stay importable from here for existing callers.
+from .arith import (BudgetExceeded, SquareD,  # noqa: F401
                     exponent_range, factor, int_nth_root, pell_fundamental, pell_iter)
 from . import sets as sets_mod
 from .series import CoeffFn, LinearFormSpec, SeriesSpec, eval_linear_form, fraction_sci
@@ -142,14 +142,6 @@ def independence_conditions(family: FamilyIndex) -> ConditionsReport:
     )
 
 
-def pell_stream(D: int, count: int) -> list[PellSolution]:
-    """The first `count` solutions of x**2 - D*y**2 = 1."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    it = pell_iter(D)
-    return [next(it) for _ in range(count)]
-
-
 @dataclass(frozen=True)
 class DependencyCertificate:
     """An explicit rational dependence among 1 and two series values.
@@ -176,11 +168,7 @@ class DependencyCertificate:
         return self.residual <= self.error_bound
 
     def to_form(self) -> LinearFormSpec:
-        (i1, j1), (i2, j2) = self.pair1, self.pair2
-        return LinearFormSpec(self.base, self.weights[0], (
-            (self.weights[1], SeriesSpec(i1, j1, self.set1, CoeffFn.constant(1))),
-            (self.weights[2], SeriesSpec(i2, j2, self.set2, CoeffFn.constant(1))),
-        ))
+        return _pair_form(self.base, self.weights, (self.pair1, self.set1), (self.pair2, self.set2))
 
     def to_json(self) -> dict:
         return {
@@ -229,14 +217,17 @@ def build_counterexample(pair1: tuple[int, int], pair2: tuple[int, int],
             f"pair {pair1}, {pair2}: no collision and not two square exponents"
         )
 
-    form = LinearFormSpec(b, weights[0], (
-        (weights[1], SeriesSpec(i1, j1, set1, CoeffFn.constant(1))),
-        (weights[2], SeriesSpec(i2, j2, set2, CoeffFn.constant(1))),
-    ))
-    value = eval_linear_form(form, precision)
+    value = eval_linear_form(_pair_form(b, weights, (pair1, set1), (pair2, set2)), precision)
     return DependencyCertificate(kind, pair1, pair2, set1, set2, weights, b,
                                  precision, abs(value.to_fraction()),
                                  value.error_bound)
+
+
+def _pair_form(b: int, weights: tuple[int, int, int], *terms) -> LinearFormSpec:
+    """w0 + w1 * series1 + w2 * series2, each term a ((i, j), set) with coefficients 1."""
+    return LinearFormSpec(b, weights[0], tuple(
+        (w, SeriesSpec(i, j, s, CoeffFn.constant(1)))
+        for w, ((i, j), s) in zip(weights[1:], terms)))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ view (one integer per base-b position) and its zero-run scans live here too.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -19,6 +20,7 @@ from .sets import ExponentSet, json_int, set_enumerate
 GUARD_DIGITS = 16
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
+_TABLE_KEY = re.compile(r"-?[1-9][0-9]*|0")  # the keys k with str(int(k)) == k
 
 
 class MissingCoefficient(ValueError):
@@ -99,9 +101,13 @@ class CoeffFn:
         if kind == "alternating":
             return cls.alternating()
         if kind == "table":
+            if "values" not in obj:
+                raise ValueError("coefficient kind 'table' requires 'values'")
             values = obj["values"]
             if not isinstance(values, dict):
                 raise ValueError("'values' must be an object")
+            if bad := [k for k in values if not _TABLE_KEY.fullmatch(k)]:
+                raise ValueError(f"table key {bad[0]!r} is not a canonical decimal integer")
             table = {int(k): json_int(f"values.{k}", v) for k, v in values.items()}
             bound = obj.get("bound")
             return cls.from_table(table, None if bound is None else json_int("bound", bound))
@@ -215,15 +221,6 @@ class LinearFormSpec:
     def __post_init__(self) -> None:
         if self.base < 2:
             raise ValueError("base must be >= 2")
-
-    @property
-    def coeff_ceiling(self) -> int:
-        """Largest declared coefficient bound across the terms."""
-        return max((spec.coeff.bound for _, spec in self.terms), default=0)
-
-    @property
-    def weight_mass(self) -> int:
-        return sum(abs(w) for w, _ in self.terms)
 
 
 def form(base: int, constant: int = 0, terms=()) -> LinearFormSpec:
@@ -359,20 +356,6 @@ def exclusion_window_check(form: LinearFormSpec, center: int, radius: int) -> bo
         raise ValueError("center must exceed the window radius")
     lo, hi = center - radius + 1, center + radius - 1
     return next(_nonzero_coefficients(form, lo, hi, center), None) is None
-
-
-def tail_bound(form: LinearFormSpec, window: int) -> Fraction:
-    """Remainder bound m * (b**-window + 2 * b**-(2*window)) for the form.
-
-    Here m is the largest declared coefficient bound times the total weight
-    mass; it dominates both the single coefficient at the split position and
-    the whole tail beyond it, wherever the form is split.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    c2 = form.coeff_ceiling * form.weight_mass
-    b = form.base
-    return Fraction(c2, b**window) + Fraction(2 * c2, b ** (2 * window))
 
 
 def fraction_sci(fr: Fraction, sig: int = 3) -> str:

@@ -9,10 +9,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Iterable
 
-from .arith import SquareD, factor, int_nth_root, is_prime, pell_iter
+from .arith import SquareD, factor, int_nth_root, is_prime, pell_iter, prime_sieve
 
 
 @dataclass(frozen=True)
@@ -50,9 +49,6 @@ class ExponentSet:
     @property
     def is_finite(self) -> bool:
         return _KINDS[self.kind].finite
-
-    def describe(self) -> str:
-        return _KINDS[self.kind].describe(self)
 
     def to_json(self) -> dict:
         obj: dict = {"kind": self.kind}
@@ -141,8 +137,10 @@ def from_json(obj: dict) -> ExponentSet:
     rules = _rules(obj["kind"])
     spec = {"min": 1, **rules.defaults, **obj}
     names = (*rules.fields, "min")
-    args = [spec[name] for name in names]
-    for name, value in zip(names, args):
+    for name in names:
+        if name not in spec:
+            raise ValueError(f"set kind {obj['kind']!r} requires '{name}'")
+        value = spec[name]
         if name != "members":
             json_int(name, value)
         elif isinstance(value, list):
@@ -150,7 +148,7 @@ def from_json(obj: dict) -> ExponentSet:
                 json_int(f"members[{idx}]", member)
         else:
             raise ValueError("'members' must be a list of integers")
-    return rules.factory(*args)
+    return rules.factory(*(spec[name] for name in names))
 
 
 def json_int(name: str, value) -> int:
@@ -176,7 +174,6 @@ class _Kind:
     factory: Callable[..., ExponentSet]
     contains: Callable[[ExponentSet, int], bool]
     members_up_to: Callable[[ExponentSet, int], Iterable[int]]
-    describe: Callable[[ExponentSet], str] = attrgetter("kind")
     fields: tuple[str, ...] = ()
     defaults: dict = field(default_factory=dict)
     finite: bool = False
@@ -229,12 +226,11 @@ _KINDS = {
     "primes": _Kind(
         primes,
         contains=lambda s, n: is_prime(n),
-        members_up_to=lambda s, limit: _prime_sieve(limit)),
+        members_up_to=lambda s, limit: prime_sieve(limit)),
     "primes_in_ap": _Kind(
         primes_in_ap,
         contains=lambda s, n: n % s.d == s.h % s.d and is_prime(n),
-        members_up_to=lambda s, limit: (p for p in _prime_sieve(limit) if p % s.d == s.h % s.d),
-        describe=lambda s: f"primes = {s.h} (mod {s.d})",
+        members_up_to=lambda s, limit: (p for p in prime_sieve(limit) if p % s.d == s.h % s.d),
         fields=("d", "h")),
     "squarefree": _Kind(
         squarefree,
@@ -244,43 +240,28 @@ _KINDS = {
         explicit,
         contains=_explicit_contains,
         members_up_to=lambda s, limit: s.members[: bisect_right(s.members, limit)],
-        describe=lambda s: "{" + ", ".join(map(str, s.members)) + "}",
         fields=("members",),
         finite=True),
     "geometric": _Kind(
         geometric,
         contains=_geometric_contains,
         members_up_to=_geometric_members,
-        describe=lambda s: f"{{{s.u} * 2^({s.j}m)}}",
         fields=("u", "j")),
     "pell_x": _Kind(
         pell_x,
         contains=lambda s, n: any(x == n for x, _ in _pell_pairs(s, n)),
         members_up_to=lambda s, limit: [x for x, _ in _pell_pairs(s, limit) if x <= limit],
-        describe=lambda s: f"{{x : x^2 - {s.D} y^2 = 1}}",
         fields=("D",)),
     "pell_y": _Kind(
         pell_y,
         contains=lambda s, n: any(s.scale * y == n for _, y in _pell_pairs(s, n)),
         members_up_to=lambda s, limit: [s.scale * y for _, y in _pell_pairs(s, limit)
                                     if s.scale * y <= limit],
-        describe=lambda s: f"{{{s.scale} y : x^2 - {s.D} y^2 = 1}}",
         fields=("D", "scale"),
         defaults={"scale": 1}),
 }
 
 FINITE_KINDS = frozenset(kind for kind, rules in _KINDS.items() if rules.finite)
-
-
-def _prime_sieve(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return [i for i, f in enumerate(flags) if f]
 
 
 def _squarefree_sieve(limit: int) -> list[int]:

@@ -20,7 +20,6 @@ from lacunary.series import (
     gap_scan,
     parse_digits,
     render_digits,
-    tail_bound,
 )
 from lacunary.sets import (
     explicit,
@@ -192,14 +191,19 @@ def test_eval_linear_form_cancellation_and_constants():
     assert w.to_fraction() == 1 and w.is_exact
 
 
-def test_tail_bound_examples():
-    f1 = form(2, 0, [(1, alpha_spec())])
-    assert tail_bound(f1, 10) == Fraction(1, 2**10) + Fraction(2, 2**20)
-    f0 = form(2, 0, [(0, alpha_spec())])
-    assert tail_bound(f0, 4) == 0
-    spec_c2 = SeriesSpec(1, 2, naturals(), CoeffFn.constant(2))
-    f2 = form(3, 0, [(3, spec_c2), (-1, spec_c2)])
-    assert tail_bound(f2, 5) == Fraction(8, 3**5) + Fraction(16, 3**10)
+@given(st.text(alphabet="0123456789-+ _\u0661x", max_size=5) | st.integers(-999, 999).map(str))
+@settings(max_examples=200)
+def test_table_keys_must_be_canonical(key):
+    try:
+        canonical = str(int(key)) == key
+    except ValueError:
+        canonical = False
+    obj = {"kind": "table", "values": {key: 3}}
+    if canonical:
+        assert CoeffFn.from_json(obj).table == {int(key): 3}
+    else:
+        with pytest.raises(ValueError, match="table key"):
+            CoeffFn.from_json(obj)
 
 
 def test_render_digits_examples():

@@ -62,24 +62,25 @@ def test_pell_y_scaling():
     assert scaled == [3 * y for y in base]
 
 
-_KINDS = [
-    naturals(),
-    primes(),
-    primes_in_ap(4, 3),
-    primes_in_ap(3, 1),
-    squarefree(),
-    explicit([2, 4, 6, 40]),
-    explicit([]),
-    geometric(3, 2),
-    geometric(1, 3),
-    pell_x(2),
-    pell_y(2, 1),
-    naturals(min_value=7),
-    squarefree(min_value=5),
-]
+# One set of each kind, keyed by its test id.
+_KINDS = {
+    "naturals0": naturals(),
+    "primes": primes(),
+    "primes = 3 (mod 4)": primes_in_ap(4, 3),
+    "primes = 1 (mod 3)": primes_in_ap(3, 1),
+    "squarefree0": squarefree(),
+    "{2, 4, 6, 40}": explicit([2, 4, 6, 40]),
+    "{}": explicit([]),
+    "{3 * 2^(2m)}": geometric(3, 2),
+    "{1 * 2^(3m)}": geometric(1, 3),
+    "{x : x^2 - 2 y^2 = 1}": pell_x(2),
+    "{1 y : x^2 - 2 y^2 = 1}": pell_y(2, 1),
+    "naturals1": naturals(min_value=7),
+    "squarefree1": squarefree(min_value=5),
+}
 
 
-@pytest.mark.parametrize("s", _KINDS, ids=lambda s: s.describe())
+@pytest.mark.parametrize("s", _KINDS.values(), ids=_KINDS.keys())
 def test_enumerate_agrees_with_contains(s):
     limit = 120
     members = set_enumerate(s, limit)
@@ -114,7 +115,7 @@ def test_invalid_constructions():
 
 def test_json_round_trip():
     rng = random.Random(7)
-    for s in _KINDS:
+    for s in _KINDS.values():
         again = from_json(s.to_json())
         assert again == s
         limit = rng.randrange(50, 200)
@@ -124,3 +125,11 @@ def test_json_round_trip():
         from_json({"kind": "moonphase"})
     with pytest.raises(ValueError):
         from_json({"no": "kind"})
+
+
+def test_missing_parameter_is_named():
+    for s in _KINDS.values():
+        obj = s.to_json()
+        for name in set(obj) - {"kind", "min", "scale"}:  # pell_y's scale defaults to 1
+            with pytest.raises(ValueError, match=f"set kind '{s.kind}' requires '{name}'"):
+                from_json({k: v for k, v in obj.items() if k != name})
