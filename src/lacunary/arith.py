@@ -6,6 +6,7 @@ Everything here is pure and deterministic; all other modules build on it.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -16,8 +17,25 @@ PRIMALITY_EXACT_BOUND = 2**64
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _EXTRA_MR_ROUNDS = 64  # error < 4**-64 = 2**-128 above the exact bound
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+# (bound, k): Miller-Rabin over the first k bases is exact for n < bound,
+# the least strong pseudoprime to those bases (OEIS A014233): k = 4 from
+# Pomerance, Selfridge & Wagstaff (Math. Comp. 35, 1980), k = 5..7 from
+# Jaeschke (Math. Comp. 61, 1993), k = 9 from Jiang & Deng (Math. Comp. 83,
+# 2014). All 12 bases are exact below 318665857834031151167461 > 2**64
+# (Sorenson & Webster, Math. Comp. 86, 2017). The bounds for k <= 3 lie below
+# _SIEVED_BOUND, where no round is needed; k = 8, 10 and 11 share the bound
+# of k = 7 or k = 9, so they add nothing.
+_MR_PREFIXES = (
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+)
 _TRIAL_LIMIT = 10**4
+# 10007 is the least prime above _TRIAL_LIMIT: an n below its square with no
+# prime factor below _TRIAL_LIMIT is prime.
+_SIEVED_BOUND = 10007**2
 
 DEFAULT_FACTOR_BUDGET = 2_000_000
 
@@ -37,17 +55,20 @@ class SquareD(ValueError):
 def is_prime(n: int) -> bool:
     """Primality test, exact below 2**64 and probabilistic beyond.
 
-    Above ``PRIMALITY_EXACT_BOUND`` the result is "probable prime" with
-    error probability below 2**-128; callers that surface results should
-    report :func:`primality_certainty` alongside.
+    The work grows with n: a table lookup up to 10**4, one gcd with the
+    product of the primes below 10**4, and only then Miller-Rabin, over the
+    shortest base prefix proven exact below n. Above ``PRIMALITY_EXACT_BOUND``
+    all 12 bases and 64 derandomized rounds run, so the result is "probable
+    prime" with error probability below 2**-128; callers that surface
+    results should report :func:`primality_certainty` alongside.
     """
-    if n < 2:
+    _, prime_set, primorial = _trial_table()
+    if n <= _TRIAL_LIMIT:
+        return n in prime_set
+    if math.gcd(n, primorial) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if n < _SIEVED_BOUND:
+        return True
 
     d = n - 1
     r = 0
@@ -65,9 +86,9 @@ def is_prime(n: int) -> bool:
                 return False
         return True
 
-    for a in _MR_BASES:
-        if is_composite(a):
-            return False
+    count = next((k for bound, k in _MR_PREFIXES if n < bound), len(_MR_BASES))
+    if any(is_composite(a) for a in _MR_BASES[:count]):
+        return False
     if n >= PRIMALITY_EXACT_BOUND:
         # Derandomized extra rounds: bases drawn from an n-seeded stream.
         rng = random.Random(n)
@@ -129,7 +150,11 @@ def prime_sieve(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-_TRIAL_PRIMES: list[int] | None = None
+@functools.cache
+def _trial_table() -> tuple[tuple[int, ...], frozenset[int], int]:
+    """The primes below _TRIAL_LIMIT: ascending, as a set, and their product."""
+    primes = tuple(prime_sieve(_TRIAL_LIMIT))
+    return primes, frozenset(primes), math.prod(primes)
 
 
 def _brent_rho(n: int, steps_left: list[int]) -> int:
@@ -172,20 +197,21 @@ def _brent_rho(n: int, steps_left: list[int]) -> int:
 def factor(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     """Complete prime factorization of n >= 1 within a step budget.
 
-    Trial division by cached small primes first, then Brent's rho for the
+    Trial division by the primes below 10**4 first, then Brent's rho for the
     surviving cofactors; raises BudgetExceeded if the budget runs out.
     """
     if n < 1:
         raise ValueError("factor requires n >= 1")
-    global _TRIAL_PRIMES
-    if _TRIAL_PRIMES is None:
-        _TRIAL_PRIMES = prime_sieve(_TRIAL_LIMIT)
 
     value = n
     found: dict[int, int] = {}
     steps = [budget]
-    for p in _TRIAL_PRIMES:
+    for p in _trial_table()[0]:
         if p * p > n:
+            # No prime below p divides n, and n < p*p: n is 1 or a prime.
+            if n > 1:
+                found[n] = 1
+                n = 1
             break
         steps[0] -= 1
         if steps[0] < 0:

@@ -135,8 +135,10 @@ def from_json(obj: dict) -> ExponentSet:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("set spec must be an object with a 'kind' field")
     rules = _rules(obj["kind"])
-    spec = {"min": 1, **rules.defaults, **obj}
     names = (*rules.fields, "min")
+    if extra := [name for name in obj if name not in ("kind", *names)]:
+        raise ValueError(f"set kind {obj['kind']!r} has no field {extra[0]!r}")
+    spec = {"min": 1, **rules.defaults, **obj}
     for name in names:
         if name not in spec:
             raise ValueError(f"set kind {obj['kind']!r} requires '{name}'")

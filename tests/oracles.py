@@ -9,6 +9,7 @@ exhaustive scans, exact Fraction summation).
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -274,3 +275,138 @@ def brute_lll(rows, delta: Fraction = Fraction(99, 100)) -> list[list[int]]:
                 mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
             k = max(k - 1, 1)
     return basis
+
+
+# ---------------------------------------------------------------- reference
+# is_prime and factor as they stood before primality was sized to its input:
+# 18 trial divisions then all 12 Miller-Rabin bases (and 64 derandomized
+# rounds from 2**64), and a factor that re-tests every cofactor. Verbatim,
+# except that factor returns the sorted (prime, exponent) tuple, its own
+# names stand in for the package's, and a square is found with math.isqrt.
+
+PRIMALITY_EXACT_BOUND = 2**64
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_EXTRA_MR_ROUNDS = 64  # error < 4**-64 = 2**-128 above the exact bound
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+_TRIAL_LIMIT = 10**4
+
+DEFAULT_FACTOR_BUDGET = 2_000_000
+
+
+class RefBudgetExceeded(Exception):
+    """The reference factor ran out of steps."""
+
+
+def ref_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+
+    def is_composite(a: int) -> bool:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            return False
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                return False
+        return True
+
+    for a in _MR_BASES:
+        if is_composite(a):
+            return False
+    if n >= PRIMALITY_EXACT_BOUND:
+        # Derandomized extra rounds: bases drawn from an n-seeded stream.
+        rng = random.Random(n)
+        for _ in range(_EXTRA_MR_ROUNDS):
+            if is_composite(rng.randrange(2, n - 1)):
+                return False
+    return True
+
+
+_TRIAL_PRIMES: list[int] | None = None
+
+
+def _ref_brent_rho(n: int, steps_left: list[int]) -> int:
+    if n % 2 == 0:
+        return 2
+    for c in range(1, 50):
+        y, m = 2, 128
+        g = r = q = 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                steps_left[0] -= min(m, r - k)
+                if steps_left[0] < 0:
+                    raise RefBudgetExceeded(f"factoring budget exhausted on {n}")
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+                steps_left[0] -= 1
+                if steps_left[0] < 0:
+                    raise RefBudgetExceeded(f"factoring budget exhausted on {n}")
+        if g != n:
+            return g
+    raise RefBudgetExceeded(f"rho cycle search failed on {n}")
+
+
+def ref_factor(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> tuple[tuple[int, int], ...]:
+    if n < 1:
+        raise ValueError("factor requires n >= 1")
+    global _TRIAL_PRIMES
+    if _TRIAL_PRIMES is None:
+        _TRIAL_PRIMES = sieve_primes(_TRIAL_LIMIT)
+
+    value = n
+    found: dict[int, int] = {}
+    steps = [budget]
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        steps[0] -= 1
+        if steps[0] < 0:
+            raise RefBudgetExceeded(f"factoring budget exhausted on {value}")
+        while n % p == 0:
+            found[p] = found.get(p, 0) + 1
+            n //= p
+
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if ref_is_prime(m):
+            found[m] = found.get(m, 0) + 1
+            continue
+        root = math.isqrt(m)
+        if root * root == m:
+            stack.extend((root, root))
+            continue
+        d = _ref_brent_rho(m, steps)
+        stack.extend((d, m // d))
+
+    return tuple(sorted(found.items()))

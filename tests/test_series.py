@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,27 @@ def test_eval_linear_form_cancellation_and_constants():
     g = form(2, 1, [(0, alpha_spec())])
     w = eval_linear_form(g, 30)
     assert w.to_fraction() == 1 and w.is_exact
+
+
+def test_coefficient_unknown_field_is_named():
+    for obj in ({"kind": "const", "value": 2}, {"kind": "alternating"},
+                {"kind": "table", "values": {"1": 2}, "bound": 3}):
+        assert CoeffFn.from_json(obj).to_json() == obj
+        for name in ("value", "values", "bound", "valeu"):
+            if name not in obj:
+                with pytest.raises(ValueError,
+                                   match=f"coefficient kind '{obj['kind']}' has no field '{name}'"):
+                    CoeffFn.from_json({**obj, name: 1})
+
+
+def test_table_key_past_the_int_str_limit():
+    limit = sys.get_int_max_str_digits()
+    key = "9" * (limit + 1)
+    with pytest.raises(ValueError, match=f"table key of {limit + 1} digits is too long"):
+        CoeffFn.from_json({"kind": "table", "values": {key: 1}})
+    with pytest.raises(ValueError, match=f"table key of {limit + 1} digits is too long"):
+        CoeffFn.from_json({"kind": "table", "values": {"-" + key: 1}})
+    assert CoeffFn.from_json({"kind": "table", "values": {key[1:]: 1}}).table == {int(key[1:]): 1}
 
 
 @given(st.text(alphabet="0123456789-+ _\u0661x", max_size=5) | st.integers(-999, 999).map(str))

@@ -127,6 +127,16 @@ def test_json_round_trip():
         from_json({"no": "kind"})
 
 
+def test_unknown_field_is_named():
+    fields = {name for s in _KINDS.values() for name in s.to_json()} | {"min"}
+    for s in _KINDS.values():
+        obj = s.to_json()
+        for name in sorted(fields - set(obj) - {"min"}) + ["scal"]:
+            with pytest.raises(ValueError, match=f"set kind '{s.kind}' has no field '{name}'"):
+                from_json({**obj, name: 1})
+        assert from_json({**obj, "min": 2}).min_value == 2
+
+
 def test_missing_parameter_is_named():
     for s in _KINDS.values():
         obj = s.to_json()
