@@ -33,12 +33,11 @@ _MISSING = object()
 class SpecError(Exception):
     def __init__(self, field: str, message: str):
         super().__init__(f"field '{field}': {message}")
-        self.field = field
 
 
-def _get(spec: dict, field: str, kind, default=_MISSING, minimum=None, where=None):
-    """spec[field], checked; errors name the field as `where.field` when given."""
-    name = field if where is None else f"{where}.{field}"
+def _get(spec: dict, field: str, kind, default=_MISSING, minimum=None, where: str = ""):
+    """spec[field], checked; errors name the field as where + field."""
+    name = where + field
     if field not in spec:
         if default is _MISSING:
             raise SpecError(name, "required field is missing")
@@ -68,105 +67,47 @@ def _index_pair(raw, field: str) -> tuple[int, int]:
     return i, j
 
 
-def _parse_series(item: dict, where: str) -> SeriesSpec:
-    i = _get(item, "i", int, minimum=1, where=where)
-    j = _get(item, "j", int, minimum=2, where=where)
-    try:
-        index_set = sets.from_json(_get(item, "set", dict, where=where))
-    except (ValueError, TypeError) as exc:
-        raise SpecError(f"{where}.set", str(exc)) from exc
-    try:
-        coeff = CoeffFn.from_json(item.get("coeff", {"kind": "const", "value": 1}))
-    except (ValueError, TypeError) as exc:
-        raise SpecError(f"{where}.coeff", str(exc)) from exc
-    return SeriesSpec(i, j, index_set, coeff)
-
-
 def _items(raw: list, field: str):
-    """(where, item) for each entry of a list of objects."""
+    """(where, item) for each entry of a list of objects; where is `field[idx].`"""
     for idx, item in enumerate(raw):
-        where = f"{field}[{idx}]"
         if not isinstance(item, dict):
-            raise SpecError(where, "expected an object")
-        yield where, item
+            raise SpecError(f"{field}[{idx}]", "expected an object")
+        yield f"{field}[{idx}].", item
 
 
-# ------------------------------------------------------------- field table
-# Each parser takes (raw JSON value, the fields read so far) and returns
-# (value, normalized JSON).
+def _read(obj: dict, rows, where: str = "") -> tuple[dict, dict]:
+    """(parsed fields, normalized JSON) of one spec object, read row by row.
 
-def _parse_terms(raw: list, fields: dict):
-    terms = tuple((_get(item, "weight", int, 1, where=where), _parse_series(item, where))
-                  for where, item in _items(raw, "terms"))
-    return terms, [{"weight": w, **s.to_json()} for w, s in terms]
-
-
-def _parse_family(raw: list, fields: dict):
-    family = [_index_pair(p, f"family[{idx}]") for idx, p in enumerate(raw)]
-    return family, [list(p) for p in family]
-
-
-def _parse_range(raw: list, fields: dict):
-    start, end = _pair(raw, "range", "expected [start, end] with integers")
-    if not 1 <= start <= end:
-        raise SpecError("range", "need 1 <= start <= end")
-    return (start, end), [start, end]
-
-
-def _parse_count(raw, fields: dict):
-    count = fields["digits"] if raw is None else raw
-    if count > fields["digits"]:
-        raise SpecError("count", "cannot exceed 'digits'")
-    return count, count
-
-
-def _hunt_value(item: dict, base: int, precision: int, where: str) -> tuple[FixedPointValue, dict]:
-    kind = _get(item, "kind", str, where=where)
-    if kind == "int":
-        value = _get(item, "value", int, where=where)
-        return (FixedPointValue.from_int(value, base, precision + GUARD_DIGITS),
-                {"kind": "int", "value": value})
-    if kind == "digits":
-        raw = _get(item, "digits", str, where=where)
-        if len(raw) < precision:
-            raise SpecError(f"{where}.digits",
-                            f"need at least {precision} digits for this precision")
+    A key that no row lists is rejected first. A field's parser in _PARSERS
+    maps (raw JSON value, the fields read so far) to (value, normalized
+    JSON); a ValueError or TypeError it raises is named after the field."""
+    if unknown := [key for key in obj if key not in [row[0] for row in rows]]:
+        raise SpecError(where + unknown[0], "unknown field")
+    fields, normalized = {}, {}
+    for name, kind, default, minimum in rows:
+        raw = _get(obj, name, kind, default, minimum, where)
+        parse = _PARSERS.get(name)
         try:
-            mantissa = series.parse_digits(raw, base)
-        except ValueError as exc:
-            raise SpecError(f"{where}.digits", f"not base-{base} digits") from exc
-        return (FixedPointValue(base, mantissa, len(raw), Fraction(1, base ** len(raw))),
-                {"kind": "digits", "digits": raw})
-    if kind == "series":
-        spec = _parse_series(item, where)
-        try:
-            value = series.eval_series(spec, base, precision)
-        except series.MissingCoefficient as exc:
-            raise SpecError(f"{where}.coeff", str(exc)) from exc
-        return value, {"kind": "series", **spec.to_json()}
-    raise SpecError(f"{where}.kind", "expected one of: int, digits, series")
+            fields[name], normalized[name] = parse(raw, fields) if parse else (raw, raw)
+        except (ValueError, TypeError) as exc:
+            raise SpecError(where + name, str(exc)) from exc
+    return fields, normalized
 
 
-def _parse_values(raw: list, fields: dict):
-    if len(raw) < 2:
-        raise SpecError("values", "need at least two values")
-    parsed = [_hunt_value(item, fields["base"], fields["precision"], where)
-              for where, item in _items(raw, "values")]
-    return [v for v, _ in parsed], [n for _, n in parsed]
+# ------------------------------------------------------------- field tables
+# Rows are (name, JSON type, default, minimum), read in order; a default of
+# _MISSING makes the field required. A term has one table, each hunt value
+# kind one, and each subcommand's top level one.
 
+_SERIES = (("i", int, _MISSING, 1), ("j", int, _MISSING, 2), ("set", dict, _MISSING, None),
+           # any JSON value, so that CoeffFn.from_json says what is wrong with it
+           ("coeff", object, {"kind": "const", "value": 1}, None))
+_TERM = (("weight", int, 1, None),) + _SERIES
+_KIND = ("kind", str, _MISSING, None)
+_VALUES = {"int": (_KIND, ("value", int, _MISSING, None)),
+           "digits": (_KIND, ("digits", str, _MISSING, None)),
+           "series": (_KIND,) + _SERIES}
 
-_PARSERS = {
-    "terms": _parse_terms,
-    "family": _parse_family,
-    "pair1": lambda raw, fields: (_index_pair(raw, "pair1"), list(raw)),
-    "pair2": lambda raw, fields: (_index_pair(raw, "pair2"), list(raw)),
-    "range": _parse_range,
-    "count": _parse_count,
-    "values": _parse_values,
-}
-
-# Each subcommand's fields in read order, as (name, JSON type, default,
-# minimum); a default of _MISSING makes the field required.
 _FORM = (("base", int, _MISSING, 2), ("constant", int, 0, None), ("terms", list, [], None))
 _FIELDS = {
     "eval": _FORM + (("digits", int, _MISSING, 1),),
@@ -191,14 +132,72 @@ _FIELDS = {
 COMMANDS = tuple(_FIELDS)
 
 
-def _read_fields(command: str, spec: dict) -> tuple[dict, dict]:
-    """(parsed fields, normalized spec), reading _FIELDS[command] in order."""
-    fields, normalized = {}, {"command": command}
-    for name, kind, default, minimum in _FIELDS[command]:
-        raw = _get(spec, name, kind, default, minimum)
-        parse = _PARSERS.get(name)
-        fields[name], normalized[name] = parse(raw, fields) if parse else (raw, raw)
-    return fields, normalized
+def _series(f: dict) -> SeriesSpec:
+    return SeriesSpec(f["i"], f["j"], f["set"], f["coeff"])
+
+
+def _parse_terms(raw: list, fields: dict):
+    parsed = [_read(item, _TERM, where) for where, item in _items(raw, "terms")]
+    return tuple((f["weight"], _series(f)) for f, _ in parsed), [n for _, n in parsed]
+
+
+def _parse_family(raw: list, fields: dict):
+    family = [_index_pair(p, f"family[{idx}]") for idx, p in enumerate(raw)]
+    return family, [list(p) for p in family]
+
+
+def _parse_range(raw: list, fields: dict):
+    start, end = _pair(raw, "range", "expected [start, end] with integers")
+    if not 1 <= start <= end:
+        raise SpecError("range", "need 1 <= start <= end")
+    return (start, end), [start, end]
+
+
+def _parse_count(raw, fields: dict):
+    count = fields["digits"] if raw is None else raw
+    if count > fields["digits"]:
+        raise SpecError("count", "cannot exceed 'digits'")
+    return count, count
+
+
+def _literal(raw: str, base: int, precision: int, where: str) -> FixedPointValue:
+    """A digit string read as 0.d1d2... with one unit of error in its last place."""
+    if len(raw) < precision:
+        raise SpecError(f"{where}digits", f"need at least {precision} digits for this precision")
+    try:
+        mantissa = series.parse_digits(raw, base)
+    except ValueError as exc:
+        raise SpecError(f"{where}digits", f"not base-{base} digits") from exc
+    return FixedPointValue(base, mantissa, len(raw), Fraction(1, base ** len(raw)))
+
+
+def _parse_values(raw: list, fields: dict):
+    """Hunt values as data: an int, a digit literal's FixedPointValue or a SeriesSpec."""
+    if len(raw) < 2:
+        raise SpecError("values", "need at least two values")
+    values, normalized = [], []
+    for where, item in _items(raw, "values"):
+        kind = _get(item, "kind", str, where=where)
+        if kind not in _VALUES:
+            raise SpecError(f"{where}kind", "expected one of: int, digits, series")
+        f, item_json = _read(item, _VALUES[kind], where)
+        values.append(_series(f) if kind == "series" else f["value"] if kind == "int"
+                      else _literal(f["digits"], fields["base"], fields["precision"], where))
+        normalized.append(item_json)
+    return values, normalized
+
+
+_PARSERS = {
+    "terms": _parse_terms,
+    "family": _parse_family,
+    "pair1": lambda raw, fields: (_index_pair(raw, "pair1"), list(raw)),
+    "pair2": lambda raw, fields: (_index_pair(raw, "pair2"), list(raw)),
+    "range": _parse_range,
+    "count": _parse_count,
+    "values": _parse_values,
+    "set": lambda raw, fields: (s := sets.from_json(raw), s.to_json()),
+    "coeff": lambda raw, fields: (c := CoeffFn.from_json(raw), c.to_json()),
+}
 
 
 # ---------------------------------------------------------------- commands
@@ -274,8 +273,11 @@ def _run_diophantine(f: dict):
 
 
 def _run_hunt(f: dict):
-    coeff_bound, precision = f["coeff_bound"], f["precision"]
-    query = relations.RelationQuery(tuple(f["values"]), coeff_bound, precision)
+    base, coeff_bound, precision = f["base"], f["coeff_bound"], f["precision"]
+    values = tuple(series.eval_series(v, base, precision) if isinstance(v, SeriesSpec)
+                   else FixedPointValue.from_int(v, base, precision + GUARD_DIGITS)
+                   if isinstance(v, int) else v for v in f["values"])
+    query = relations.RelationQuery(values, coeff_bound, precision)
     report = relations.search_relations(query)
     result: dict = {"coeff_bound": coeff_bound, "precision": precision}
     if report.relation is not None:
@@ -287,7 +289,7 @@ def _run_hunt(f: dict):
     result["relation"] = None
     result["residual_floor"] = fraction_sci(report.residual_floor)
     result["exclusion"] = (f"no relation with max|c| <= {coeff_bound} "
-                           f"at {precision} base-{f['base']} digits")
+                           f"at {precision} base-{base} digits")
     return result, "not-found", EXIT_NOT_FOUND
 
 
@@ -295,9 +297,8 @@ _RUNNERS = {"eval": _run_eval, "digits": _run_digits, "gaps": _run_gaps, "forge"
             "check": _run_check, "counterexample": _run_counterexample,
             "diophantine": _run_diophantine, "hunt": _run_hunt}
 
-_PRECISION_FIELD = {"eval": "digits", "digits": "digits",
-                    "counterexample": "precision", "hunt": "precision"}
-_BUDGET_FIELD = {"forge": "attempt_budget"}
+# (flag, spec field): a subcommand takes the flag when its _FIELDS has the field.
+_OVERRIDES = (("--precision", "digits"), ("--precision", "precision"), ("--budget", "attempt_budget"))
 
 
 def run_job(command: str, spec: dict) -> tuple[dict, int]:
@@ -305,21 +306,23 @@ def run_job(command: str, spec: dict) -> tuple[dict, int]:
     if "command" in spec and spec["command"] != command:
         raise SpecError("command", f"spec says {spec['command']!r} but the "
                                    f"{command!r} subcommand was invoked")
-    fields, normalized = _read_fields(command, spec)
+    fields, normalized = _read({k: v for k, v in spec.items() if k != "command"}, _FIELDS[command])
+    # every series of the job, by the name a coefficient-table miss gives it
+    named = [(f"terms[{idx}].", s) for idx, (_, s) in enumerate(fields.get("terms", ()))]
+    named += [(f"values[{idx}].", v) for idx, v in enumerate(fields.get("values", ()))
+              if isinstance(v, SeriesSpec)]
     try:
         result, status, code = _RUNNERS[command](fields)
     except series.MissingCoefficient as exc:
-        # only a spec's own terms carry coefficient tables
-        idx = next(k for k, (_, s) in enumerate(fields["terms"]) if s.coeff is exc.coeff)
-        raise SpecError(f"terms[{idx}].coeff", str(exc)) from exc
-    items = normalized.get("terms", []) + normalized.get("values", [])
-    if any(item.get("set", {}).get("kind") in sets.FINITE_KINDS for item in items):
+        where = next(where for where, s in named if s.coeff is exc.coeff)
+        raise SpecError(f"{where}coeff", str(exc)) from exc
+    if any(s.set.is_finite for _, s in named):
         result["finite_set_note"] = _FINITE_NOTE
     report = {
         "tool": "lacunary",
         "version": __version__,
         "command": command,
-        "spec": normalized,
+        "spec": {"command": command, **normalized},
         "status": status,
         "result": result,
     }
@@ -352,14 +355,13 @@ def main(argv=None) -> int:
         description="reproducible experiments over lacunary series in base-b",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, rows in _FIELDS.items():
         p = sub.add_parser(name, help=f"run a '{name}' job spec")
         p.add_argument("--spec", required=True, help="path to the JSON job spec")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--precision", type=int,
-                       help="override the spec's precision/digits field")
-        p.add_argument("--budget", type=int,
-                       help="override the spec's main budget field")
+        for flag, field in _OVERRIDES:
+            if field in [row[0] for row in rows]:
+                p.add_argument(flag, type=int, dest=field, help=f"override the '{field}' field")
         p.add_argument("--format", choices=("json", "text"), default="json")
     args = parser.parse_args(argv)
 
@@ -376,10 +378,9 @@ def main(argv=None) -> int:
         print("spec error: top level must be a JSON object", file=sys.stderr)
         return EXIT_INPUT
 
-    if args.precision is not None and args.command in _PRECISION_FIELD:
-        spec[_PRECISION_FIELD[args.command]] = args.precision
-    if args.budget is not None and args.command in _BUDGET_FIELD:
-        spec[_BUDGET_FIELD[args.command]] = args.budget
+    for _, field in _OVERRIDES:
+        if getattr(args, field, None) is not None:
+            spec[field] = getattr(args, field)
 
     try:
         report, code = run_job(args.command, spec)

@@ -21,11 +21,6 @@ class PrecisionTooLow(ValueError):
     """Input error bounds are too large for the requested search precision."""
 
 
-def _round_frac(fr: Fraction) -> int:
-    # floor(fr + 1/2); exact, sign-safe
-    return (2 * fr.numerator + fr.denominator) // (2 * fr.denominator)
-
-
 def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
@@ -192,12 +187,12 @@ def search_relations(query: RelationQuery) -> RelationSearchReport:
     scale_factor = b**query.precision
     rows = []
     for idx, v in enumerate(query.values):
-        scaled = _round_frac(Fraction(v.mantissa, b ** (v.scale - query.precision)))
+        shift = b ** (v.scale - query.precision)
+        scaled = (2 * v.mantissa + shift) // (2 * shift)  # mantissa / shift, rounded half up
         rows.append([1 if t == idx else 0 for t in range(n)] + [scaled])
     reduced = lll_reduce(rows)
 
-    extra = (Fraction(1, b ** (query.precision // 2)) if query.precision % 2 == 0
-             else Fraction(1, isqrt(b**query.precision)))
+    extra = Fraction(1, isqrt(b**query.precision))
     ranked = sorted(reduced, key=lambda r: (_dot(r, r), r))
 
     best: IntegerRelation | None = None

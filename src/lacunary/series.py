@@ -19,6 +19,8 @@ from .sets import ExponentSet, json_int, set_enumerate
 # Guard digits appended beyond the requested precision; keeps carry
 # uncertainty away from the digits a caller asked for at desk scale.
 GUARD_DIGITS = 16
+# The most digits eval_linear_form computes; above it, BudgetExceeded.
+MAX_DIGITS = 10**6
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _TABLE_KEY = re.compile(r"-?[1-9][0-9]*|0")  # the keys k with str(int(k)) == k
@@ -282,6 +284,8 @@ def _tail(bound: int, b: int, scale: int) -> Fraction:
 
 def eval_linear_form(form: LinearFormSpec, digits: int) -> FixedPointValue:
     """constant + weighted series values, with error bounds accumulated."""
+    if digits > MAX_DIGITS:
+        raise BudgetExceeded(f"digits = {digits} is above the cap of {MAX_DIGITS}")
     scale = digits + GUARD_DIGITS
     mantissa = form.constant * form.base**scale
     error = Fraction(0)

@@ -263,8 +263,6 @@ _KINDS = {
         defaults={"scale": 1}),
 }
 
-FINITE_KINDS = frozenset(kind for kind, rules in _KINDS.items() if rules.finite)
-
 
 def _squarefree_sieve(limit: int) -> list[int]:
     flags = bytearray([1]) * (limit + 1)

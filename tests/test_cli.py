@@ -11,6 +11,9 @@ import pytest
 from lacunary.cli import (
     _FIELDS,
     _MISSING,
+    _TERM,
+    _VALUES,
+    COMMANDS,
     EXIT_BUDGET,
     EXIT_INPUT,
     EXIT_NOT_FOUND,
@@ -109,6 +112,37 @@ def test_digits_job_with_finite_note(tmp_path, capsys):
     result = json.loads(out)["result"]
     assert result["digits"] == "000100001000"
     assert "finite_set_note" in result
+
+
+# Each override flag with the subcommands that take it, a spec whose first
+# error can only be the flag's field, that field and its minimum.
+OVERRIDES = [
+    ("--precision", "eval", {"base": 2}, "digits", 1),
+    ("--precision", "digits", {"base": 2}, "digits", 1),
+    ("--precision", "counterexample", {"pair1": [1, 3], "pair2": [2, 3], "base": 2},
+     "precision", 1),
+    ("--precision", "hunt", {"base": 2}, "precision", 50),
+    ("--budget", "forge", {"i0": 1, "j0": 2, "N": 2}, "attempt_budget", 1),
+]
+
+
+@pytest.mark.parametrize("flag,command,payload,field,minimum", OVERRIDES,
+                         ids=[f"{c}{f}" for f, c, *_ in OVERRIDES])
+def test_override_flags_set_their_field(tmp_path, capsys, flag, command, payload, field, minimum):
+    spec = write_spec(tmp_path, payload)
+    code, _, err = run_cli([command, "--spec", spec, flag, str(minimum - 1)], capsys)
+    assert (code, err) == (EXIT_INPUT, f"spec error: field '{field}': must be >= {minimum}\n")
+
+
+@pytest.mark.parametrize("flag,command", [
+    (flag, command) for flag in ("--precision", "--budget") for command in COMMANDS
+    if (flag, command) not in {(f, c) for f, c, *_ in OVERRIDES}])
+def test_override_flags_only_where_they_apply(tmp_path, capsys, flag, command):
+    # e.g. `gaps --precision 5` has no field to override: argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--spec", write_spec(tmp_path, {}), flag, "5"])
+    assert exc.value.code == EXIT_INPUT
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
 
 def test_gaps_job(tmp_path, capsys):
@@ -346,6 +380,18 @@ def test_gaps_coefficient_table_miss_names_its_term(tmp_path, capsys):
                    "coefficient table has no entry for member 2\n")
 
 
+def test_hunt_values_parse_before_any_is_evaluated(tmp_path, capsys):
+    # values[1] misses a table entry, but only evaluation finds that; the
+    # short literal of values[2] is a parse error and is reported first.
+    miss = {"kind": "series", "i": 1, "j": 2, "set": {"kind": "primes"},
+            "coeff": {"kind": "table", "values": {"2": 1}}}
+    payload = {"base": 2, "precision": 60, "values": [
+        {"kind": "int", "value": 1}, miss, {"kind": "digits", "digits": "1"}]}
+    code, out, err = run_cli(["hunt", "--spec", write_spec(tmp_path, payload)], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "spec error: field 'values[2].digits': need at least 60 digits for this precision\n"
+
+
 def test_gaps_range_above_the_candidate_cap_exits_3(tmp_path, capsys):
     # [1, 10**13] holds about 3.2 million squares, past the cap of 10**6; the
     # count comes from two roots, so the job stops without enumerating.
@@ -484,14 +530,21 @@ def test_readme_spec_fields_match_the_field_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     rows = [[cell.strip() for cell in line.strip("|").split("|")]
             for line in readme.splitlines() if line.count("|") == 6]
-    assert rows[0] == ["command", "field", "type", "default", "minimum"]
-    types = {"integer": int, "list": list, "boolean": bool}
-    assert [(c, f, types[t], int(m) if m else None) for c, f, t, _, m in rows[2:]] == [
-        (command, name, kind, minimum)
-        for command, fields in _FIELDS.items() for name, kind, _, minimum in fields]
-    defaults = [default for fields in _FIELDS.values() for _, _, default, _ in fields]
-    for (_, name, _, cell, _), default in zip(rows[2:], defaults):
-        if default is _MISSING:
-            assert cell.startswith("required"), name
-        elif cell.startswith("`"):
-            assert json.loads(cell.strip("`")) == default, name
+    # one README table for the subcommands' top levels, one for terms and hunt values
+    tables = {"command": _FIELDS,
+              "object": {"term": _TERM, **{f"{kind} value": t for kind, t in _VALUES.items()}}}
+    starts = [idx for idx, row in enumerate(rows) if row[1:] == ["field", "type", "default", "minimum"]]
+    assert [rows[idx][0] for idx in starts] == list(tables)
+    types = {"integer": int, "list": list, "boolean": bool, "object": dict, "string": str,
+             "any": object}
+    for start, end in zip(starts, starts[1:] + [len(rows)]):
+        table, body = tables[rows[start][0]], rows[start + 2:end]
+        assert [(c, f, types[t], int(m) if m else None) for c, f, t, _, m in body] == [
+            (owner, name, kind, minimum)
+            for owner, fields in table.items() for name, kind, _, minimum in fields]
+        defaults = [default for fields in table.values() for _, _, default, _ in fields]
+        for (_, name, _, cell, _), default in zip(body, defaults):
+            if default is _MISSING:
+                assert cell.startswith("required"), name
+            elif cell.startswith("`"):
+                assert json.loads(cell.strip("`")) == default, name

@@ -55,3 +55,25 @@ def test_error_matches_saved_stderr(case, tmp_path, capsys):
     spec.write_text(json.dumps(case["spec"]), encoding="utf-8")
     code = main([case["command"], "--spec", str(spec), *case.get("args", [])])
     assert (code, capsys.readouterr().err) == (case["exit"], case["stderr"])
+
+
+def _objects(spec: dict):
+    """(where, object) for the top level, each term and each hunt value of a spec."""
+    yield "", spec
+    for key in ("terms", "values"):
+        for idx, item in enumerate(spec.get(key, [])):
+            yield f"{key}[{idx}].", item
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_unknown_field_at_every_level_is_named(case, tmp_path, capsys):
+    text = (GOLDEN / f"{case['name']}.spec.json").read_text(encoding="utf-8")
+    for where, _ in _objects(json.loads(text)):
+        spec = json.loads(text)  # a fresh copy for each level
+        dict(_objects(spec))[where]["unlisted"] = 1
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code = main([case["command"], "--spec", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", f"spec error: field '{where}unlisted': unknown field\n")

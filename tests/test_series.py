@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lacunary.arith import BudgetExceeded
 from lacunary.series import (
     CoeffFn,
     FixedPointValue,
     GUARD_DIGITS,
+    MAX_DIGITS,
     SeriesSpec,
     coefficient_at,
     eval_linear_form,
@@ -190,6 +192,13 @@ def test_eval_linear_form_cancellation_and_constants():
     g = form(2, 1, [(0, alpha_spec())])
     w = eval_linear_form(g, 30)
     assert w.to_fraction() == 1 and w.is_exact
+
+
+def test_eval_linear_form_digits_cap():
+    # Refused before any summing, so the constant's b**digits is never built.
+    f = form(10, 1, [(1, alpha_spec())])
+    with pytest.raises(BudgetExceeded, match=f"digits = {MAX_DIGITS + 1} is above the cap"):
+        eval_linear_form(f, MAX_DIGITS + 1)
 
 
 def test_coefficient_unknown_field_is_named():
