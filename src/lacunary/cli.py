@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -42,13 +43,18 @@ def _get(spec: dict, field: str, kind, default=_MISSING, minimum=None, where: st
         if default is _MISSING:
             raise SpecError(name, "required field is missing")
         return default
-    val = spec[field]
+    val = _typed(spec[field], kind, name)
+    if minimum is not None and val < minimum:
+        raise SpecError(name, f"must be >= {minimum}")
+    return val
+
+
+def _typed(val, kind, name: str):
+    """val if it is of JSON type kind (a boolean is no integer); else a SpecError naming name."""
     if kind is int and isinstance(val, bool):
         raise SpecError(name, "expected an integer, got a boolean")
     if not isinstance(val, kind):
-        raise SpecError(name, f"expected {getattr(kind, '__name__', kind)}")
-    if minimum is not None and val < minimum:
-        raise SpecError(name, f"must be >= {minimum}")
+        raise SpecError(name, f"expected {kind.__name__}")
     return val
 
 
@@ -78,85 +84,110 @@ def _items(raw: list, field: str):
 def _read(obj: dict, rows, where: str = "") -> tuple[dict, dict]:
     """(parsed fields, normalized JSON) of one spec object, read row by row.
 
-    A key that no row lists is rejected first. A field's parser in _PARSERS
-    maps (raw JSON value, the fields read so far) to (value, normalized
-    JSON); a ValueError or TypeError it raises is named after the field."""
-    if unknown := [key for key in obj if key not in [row[0] for row in rows]]:
+    A key that no row lists is rejected first. A ValueError or TypeError
+    that a row's parser raises is named after the field."""
+    names = [row[0] for row in rows]
+    if unknown := [key for key in obj if key not in names]:
         raise SpecError(where + unknown[0], "unknown field")
     fields, normalized = {}, {}
-    for name, kind, default, minimum in rows:
+    for name, kind, default, minimum, *parser in rows:
         raw = _get(obj, name, kind, default, minimum, where)
-        parse = _PARSERS.get(name)
         try:
-            fields[name], normalized[name] = parse(raw, fields) if parse else (raw, raw)
+            fields[name], normalized[name] = (parser[0](raw, fields, where + name) if parser
+                                              else (raw, raw))
         except (ValueError, TypeError) as exc:
             raise SpecError(where + name, str(exc)) from exc
     return fields, normalized
 
 
-# ------------------------------------------------------------- field tables
-# Rows are (name, JSON type, default, minimum), read in order; a default of
-# _MISSING makes the field required. A term has one table, each hunt value
-# kind one, and each subcommand's top level one.
+def _read_kind(obj: dict, tables: dict, where: str) -> tuple[dict, dict]:
+    """_read of an object whose "kind" field picks its rows from tables."""
+    kind = _get(obj, "kind", str, where=where)
+    if kind not in tables:
+        raise SpecError(f"{where}kind", f"expected one of: {', '.join(tables)}")
+    return _read(obj, tables[kind], where)
 
-_SERIES = (("i", int, _MISSING, 1), ("j", int, _MISSING, 2), ("set", dict, _MISSING, None),
-           # any JSON value, so that CoeffFn.from_json says what is wrong with it
-           ("coeff", object, {"kind": "const", "value": 1}, None))
-_TERM = (("weight", int, 1, None),) + _SERIES
-_KIND = ("kind", str, _MISSING, None)
-_VALUES = {"int": (_KIND, ("value", int, _MISSING, None)),
-           "digits": (_KIND, ("digits", str, _MISSING, None)),
-           "series": (_KIND,) + _SERIES}
 
-_FORM = (("base", int, _MISSING, 2), ("constant", int, 0, None), ("terms", list, [], None))
-_FIELDS = {
-    "eval": _FORM + (("digits", int, _MISSING, 1),),
-    # count defaults to digits (None is no JSON int, so it only marks absence)
-    "digits": _FORM + (("digits", int, _MISSING, 1), ("count", int, None, 1)),
-    "gaps": _FORM + (("range", list, _MISSING, None),),
-    "forge": (("i0", int, _MISSING, 1), ("j0", int, _MISSING, 2), ("N", int, _MISSING, 1),
-              ("d", int, 1, 1), ("h", int, 1, 1), ("p_min", int, 2, 2),
-              ("family", list, [[i, j] for i in range(1, 5) for j in range(2, 5)], None),
-              ("scan_budget", int, forge.DEFAULT_SCAN_LIMIT, 1),
-              ("attempt_budget", int, forge.DEFAULT_PRIME_BUDGET, 1),
-              ("retries", int, 32, 1), ("require_large", bool, True, None)),
-    "check": (("family", list, _MISSING, None),),
-    "counterexample": (("pair1", list, _MISSING, None), ("pair2", list, _MISSING, None),
-                       ("base", int, _MISSING, 2), ("precision", int, 200, 1)),
-    "diophantine": (("i0", int, _MISSING, 1), ("j0", int, _MISSING, 2),
-                    ("i", int, _MISSING, 1), ("j", int, _MISSING, 2),
-                    ("u_max", int, _MISSING, 1), ("x_max", int, _MISSING, 1)),
-    "hunt": (("base", int, _MISSING, 2), ("precision", int, _MISSING, 50),
-             ("coeff_bound", int, 1000, 1), ("values", list, _MISSING, None)),
-}
-COMMANDS = tuple(_FIELDS)
-
+# ------------------------------------------------------------------ parsers
+# A parser maps (raw JSON value, the fields read so far, the field's path)
+# to (value, normalized JSON); the field tables below name each row's parser.
 
 def _series(f: dict) -> SeriesSpec:
     return SeriesSpec(f["i"], f["j"], f["set"], f["coeff"])
 
 
-def _parse_terms(raw: list, fields: dict):
-    parsed = [_read(item, _TERM, where) for where, item in _items(raw, "terms")]
+def _parse_terms(raw: list, fields: dict, name: str):
+    parsed = [_read(item, _TERM, where) for where, item in _items(raw, name)]
     return tuple((f["weight"], _series(f)) for f, _ in parsed), [n for _, n in parsed]
 
 
-def _parse_family(raw: list, fields: dict):
-    family = [_index_pair(p, f"family[{idx}]") for idx, p in enumerate(raw)]
+def _parse_set(raw: dict, fields: dict, name: str):
+    f, _ = _read_kind(raw, _SETS, name + ".")
+    s = sets.KINDS[f.pop("kind")].factory(*f.values())
+    return s, s.to_json()
+
+
+def _parse_members(raw: list, fields: dict, name: str):
+    return [_typed(m, int, f"{name}[{idx}]") for idx, m in enumerate(raw)], None
+
+
+def _parse_coeff(raw: dict, fields: dict, name: str):
+    f, _ = _read_kind(raw, _COEFFS, name + ".")
+    c = CoeffFn(f["kind"], f.get("value", 1), f.get("values"), f.get("bound"))
+    return c, c.to_json()
+
+
+_TABLE_KEY = re.compile(r"-?[1-9][0-9]*|0")  # the keys k with str(int(k)) == k
+
+
+def _parse_table(raw: dict, fields: dict, name: str):
+    """A coefficient table: canonical decimal keys, so that it replays as it reads."""
+    if bad := [k for k in raw if not _TABLE_KEY.fullmatch(k)]:
+        raise ValueError(f"table key {bad[0]!r} is not a canonical decimal integer")
+    try:
+        return {int(k): _typed(v, int, f"{name}.{k}") for k, v in raw.items()}, None
+    except ValueError:  # a canonical key fails only past the int/str digit limit
+        digits = max(len(k.lstrip("-")) for k in raw)
+        raise ValueError(f"table key of {digits} digits is too long (the int/str limit "
+                         f"is {sys.get_int_max_str_digits()} digits)") from None
+
+
+def _parse_render_base(raw: int, fields: dict, name: str):
+    if raw > len(series._DIGIT_CHARS):
+        raise ValueError(f"must be <= {len(series._DIGIT_CHARS)} to render digits")
+    return raw, raw
+
+
+def _parse_family(raw: list, fields: dict, name: str):
+    family = [_index_pair(p, f"{name}[{idx}]") for idx, p in enumerate(raw)]
     return family, [list(p) for p in family]
 
 
-def _parse_range(raw: list, fields: dict):
-    start, end = _pair(raw, "range", "expected [start, end] with integers")
+def _parse_distinct_family(raw: list, fields: dict, name: str):
+    family, normalized = _parse_family(raw, fields, name)
+    for idx, pair in enumerate(family):
+        if family.index(pair) < idx:
+            raise SpecError(f"{name}[{idx}]", f"duplicate pair {pair}")
+    return family, normalized
+
+
+def _parse_pair(raw: list, fields: dict, name: str):
+    if (pair := _index_pair(raw, name)) == fields.get("pair1"):  # only pair2 can meet pair1
+        raise SpecError(name, "must differ from 'pair1'")
+    return pair, list(raw)
+
+
+def _parse_range(raw: list, fields: dict, name: str):
+    start, end = _pair(raw, name, "expected [start, end] with integers")
     if not 1 <= start <= end:
-        raise SpecError("range", "need 1 <= start <= end")
+        raise SpecError(name, "need 1 <= start <= end")
     return (start, end), [start, end]
 
 
-def _parse_count(raw, fields: dict):
+def _parse_count(raw, fields: dict, name: str):
     count = fields["digits"] if raw is None else raw
     if count > fields["digits"]:
-        raise SpecError("count", "cannot exceed 'digits'")
+        raise SpecError(name, "cannot exceed 'digits'")
     return count, count
 
 
@@ -171,33 +202,69 @@ def _literal(raw: str, base: int, precision: int, where: str) -> FixedPointValue
     return FixedPointValue(base, mantissa, len(raw), Fraction(1, base ** len(raw)))
 
 
-def _parse_values(raw: list, fields: dict):
+def _parse_values(raw: list, fields: dict, name: str):
     """Hunt values as data: an int, a digit literal's FixedPointValue or a SeriesSpec."""
     if len(raw) < 2:
-        raise SpecError("values", "need at least two values")
+        raise SpecError(name, "need at least two values")
     values, normalized = [], []
-    for where, item in _items(raw, "values"):
-        kind = _get(item, "kind", str, where=where)
-        if kind not in _VALUES:
-            raise SpecError(f"{where}kind", "expected one of: int, digits, series")
-        f, item_json = _read(item, _VALUES[kind], where)
-        values.append(_series(f) if kind == "series" else f["value"] if kind == "int"
+    for where, item in _items(raw, name):
+        f, item_json = _read_kind(item, _VALUES, where)
+        values.append(_series(f) if f["kind"] == "series" else f["value"] if f["kind"] == "int"
                       else _literal(f["digits"], fields["base"], fields["precision"], where))
         normalized.append(item_json)
     return values, normalized
 
 
-_PARSERS = {
-    "terms": _parse_terms,
-    "family": _parse_family,
-    "pair1": lambda raw, fields: (_index_pair(raw, "pair1"), list(raw)),
-    "pair2": lambda raw, fields: (_index_pair(raw, "pair2"), list(raw)),
-    "range": _parse_range,
-    "count": _parse_count,
-    "values": _parse_values,
-    "set": lambda raw, fields: (s := sets.from_json(raw), s.to_json()),
-    "coeff": lambda raw, fields: (c := CoeffFn.from_json(raw), c.to_json()),
+# ------------------------------------------------------------- field tables
+# Rows are (name, JSON type, default, minimum[, parser]), read in order; a
+# default of _MISSING makes the field required. A term has one table, each
+# kind of set, coefficient and hunt value one, and each subcommand's top
+# level one.
+
+_KIND = ("kind", str, _MISSING, None)
+_SETS = {kind: (_KIND, *(("members", list, _MISSING, None, _parse_members) if name == "members"
+                         else (name, int, rules.defaults.get(name, _MISSING), None)
+                         for name in rules.fields), ("min", int, 1, None))
+         for kind, rules in sets.KINDS.items()}
+_COEFFS = {"const": (_KIND, ("value", int, 1, None)),
+           "alternating": (_KIND,),
+           # bound defaults to the largest |value| (None is no JSON int, so it only marks absence)
+           "table": (_KIND, ("values", dict, _MISSING, None, _parse_table),
+                     ("bound", int, None, None))}
+_SERIES = (("i", int, _MISSING, 1), ("j", int, _MISSING, 2),
+           ("set", dict, _MISSING, None, _parse_set),
+           ("coeff", dict, {"kind": "const", "value": 1}, None, _parse_coeff))
+_TERM = (("weight", int, 1, None),) + _SERIES
+_VALUES = {"int": (_KIND, ("value", int, _MISSING, None)),
+           "digits": (_KIND, ("digits", str, _MISSING, None)),
+           "series": (_KIND,) + _SERIES}
+
+_BASE = ("base", int, _MISSING, 2)
+_FORM = (("constant", int, 0, None), ("terms", list, [], None, _parse_terms))
+_RENDER = (_BASE + (_parse_render_base,),) + _FORM + (("digits", int, _MISSING, 1),)
+_FIELDS = {
+    "eval": _RENDER,
+    # count defaults to digits (None is no JSON int, so it only marks absence)
+    "digits": _RENDER + (("count", int, None, 1, _parse_count),),
+    "gaps": (_BASE,) + _FORM + (("range", list, _MISSING, None, _parse_range),),
+    "forge": (("i0", int, _MISSING, 1), ("j0", int, _MISSING, 2), ("N", int, _MISSING, 1),
+              ("d", int, 1, 1), ("h", int, 1, 1), ("p_min", int, 2, 2),
+              ("family", list, [[i, j] for i in range(1, 5) for j in range(2, 5)], None,
+               _parse_family),
+              ("scan_budget", int, forge.DEFAULT_SCAN_LIMIT, 1),
+              ("attempt_budget", int, forge.DEFAULT_PRIME_BUDGET, 1),
+              ("retries", int, 32, 1), ("require_large", bool, True, None)),
+    "check": (("family", list, _MISSING, None, _parse_distinct_family),),
+    "counterexample": (("pair1", list, _MISSING, None, _parse_pair),
+                       ("pair2", list, _MISSING, None, _parse_pair),
+                       _BASE, ("precision", int, 200, 1)),
+    "diophantine": (("i0", int, _MISSING, 1), ("j0", int, _MISSING, 2),
+                    ("i", int, _MISSING, 1), ("j", int, _MISSING, 2),
+                    ("u_max", int, _MISSING, 1), ("x_max", int, _MISSING, 1)),
+    "hunt": (_BASE, ("precision", int, _MISSING, 50),
+             ("coeff_bound", int, 1000, 1), ("values", list, _MISSING, None, _parse_values)),
 }
+COMMANDS = tuple(_FIELDS)
 
 
 # ---------------------------------------------------------------- commands
@@ -363,7 +430,10 @@ def main(argv=None) -> int:
             if field in [row[0] for row in rows]:
                 p.add_argument(flag, type=int, dest=field, help=f"override the '{field}' field")
         p.add_argument("--format", choices=("json", "text"), default="json")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage and message (or --help)
+        return exc.code
 
     try:
         with open(args.spec, encoding="utf-8") as fh:

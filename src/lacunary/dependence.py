@@ -18,7 +18,7 @@ from fractions import Fraction
 from .arith import (BudgetExceeded, SquareD,  # noqa: F401
                     exponent_range, factor, int_nth_root, pell_fundamental, pell_iter)
 from . import sets as sets_mod
-from .series import CoeffFn, LinearFormSpec, SeriesSpec, eval_linear_form, fraction_sci
+from .series import MAX_DIGITS, CoeffFn, LinearFormSpec, SeriesSpec, eval_linear_form, fraction_sci
 from .sets import ExponentSet
 
 
@@ -217,6 +217,8 @@ def build_counterexample(pair1: tuple[int, int], pair2: tuple[int, int],
             f"pair {pair1}, {pair2}: no collision and not two square exponents"
         )
 
+    if precision > MAX_DIGITS:  # eval_linear_form's cap, under this function's name for it
+        raise BudgetExceeded(f"precision = {precision} is above the cap of {MAX_DIGITS}")
     value = eval_linear_form(_pair_form(b, weights, (pair1, set1), (pair2, set2)), precision)
     return DependencyCertificate(kind, pair1, pair2, set1, set2, weights, b,
                                  precision, abs(value.to_fraction()),

@@ -7,14 +7,12 @@ view (one integer per base-b position) and its zero-run scans live here too.
 
 from __future__ import annotations
 
-import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .arith import BudgetExceeded, exponent_images, exponent_range, int_nth_root
-from .sets import ExponentSet, json_int, set_enumerate
+from .sets import ExponentSet, set_enumerate
 
 # Guard digits appended beyond the requested precision; keeps carry
 # uncertainty away from the digits a caller asked for at desk scale.
@@ -23,8 +21,6 @@ GUARD_DIGITS = 16
 MAX_DIGITS = 10**6
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
-_TABLE_KEY = re.compile(r"-?[1-9][0-9]*|0")  # the keys k with str(int(k)) == k
-_COEFF_FIELDS = {"const": ("value",), "alternating": (), "table": ("values", "bound")}
 
 
 class MissingCoefficient(ValueError):
@@ -44,7 +40,7 @@ class CoeffFn:
 
     def __init__(self, kind: str, value: int = 1, table: dict[int, int] | None = None,
                  bound: int | None = None):
-        if kind not in _COEFF_FIELDS:
+        if kind not in ("const", "alternating", "table"):
             raise ValueError(f"unknown coefficient kind {kind!r}")
         self.kind = kind
         self.value = value
@@ -94,40 +90,6 @@ class CoeffFn:
             return {"kind": "alternating"}
         return {"kind": "table", "values": {str(k): v for k, v in self.table.items()},
                 "bound": self.bound}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CoeffFn":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError("coeff spec must be an object with a 'kind' field")
-        kind = obj["kind"]
-        fields = _COEFF_FIELDS.get(kind) if isinstance(kind, str) else None
-        if fields is None:
-            raise ValueError(f"unknown coefficient kind {kind!r}")
-        if extra := [name for name in obj if name not in ("kind", *fields)]:
-            raise ValueError(f"coefficient kind {kind!r} has no field {extra[0]!r}")
-        if kind == "const":
-            return cls.constant(json_int("value", obj.get("value", 1)))
-        if kind == "alternating":
-            return cls.alternating()
-        if "values" not in obj:
-            raise ValueError("coefficient kind 'table' requires 'values'")
-        values = obj["values"]
-        if not isinstance(values, dict):
-            raise ValueError("'values' must be an object")
-        if bad := [k for k in values if not _TABLE_KEY.fullmatch(k)]:
-            raise ValueError(f"table key {bad[0]!r} is not a canonical decimal integer")
-        table = {_table_int(k): json_int(f"values.{k}", v) for k, v in values.items()}
-        bound = obj.get("bound")
-        return cls.from_table(table, None if bound is None else json_int("bound", bound))
-
-
-def _table_int(key: str) -> int:
-    """int(key) for a canonical table key, or a ValueError saying it is too long."""
-    try:
-        return int(key)
-    except ValueError:  # a canonical key fails only past the int/str digit limit
-        raise ValueError(f"table key of {len(key.lstrip('-'))} digits is too long (the "
-                         f"int/str limit is {sys.get_int_max_str_digits()} digits)") from None
 
 
 @dataclass(frozen=True)

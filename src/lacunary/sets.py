@@ -18,7 +18,7 @@ from .arith import SquareD, factor, int_nth_root, is_prime, pell_iter, prime_sie
 class ExponentSet:
     """A subset of the positive integers used as a series index set.
 
-    kind selects the family, whose rules are one entry of ``_KINDS``; the
+    kind selects the family, whose rules are one entry of ``KINDS``; the
     remaining fields are kind-specific parameters. ``min_value`` is an optional lower cutoff applied to
     membership and enumeration alike. Build instances through the factory
     functions below, which validate parameters.
@@ -35,24 +35,25 @@ class ExponentSet:
     min_value: int = 1
 
     def __post_init__(self) -> None:
-        _rules(self.kind)
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown set kind {self.kind!r}")
 
     def contains(self, n: int) -> bool:
-        return n >= max(1, self.min_value) and _KINDS[self.kind].contains(self, n)
+        return n >= max(1, self.min_value) and KINDS[self.kind].contains(self, n)
 
     def members_up_to(self, limit: int) -> list[int]:
         if limit < 1:
             raise ValueError("limit must be >= 1")
         lo = max(1, self.min_value)
-        return [n for n in _KINDS[self.kind].members_up_to(self, limit) if n >= lo]
+        return [n for n in KINDS[self.kind].members_up_to(self, limit) if n >= lo]
 
     @property
     def is_finite(self) -> bool:
-        return _KINDS[self.kind].finite
+        return KINDS[self.kind].finite
 
     def to_json(self) -> dict:
         obj: dict = {"kind": self.kind}
-        for name in _KINDS[self.kind].fields:
+        for name in KINDS[self.kind].fields:
             value = getattr(self, name)
             obj[name] = list(value) if isinstance(value, tuple) else value
         if self.min_value > 1:
@@ -130,36 +131,6 @@ def set_enumerate(s: ExponentSet, limit: int) -> list[int]:
     return s.members_up_to(limit)
 
 
-def from_json(obj: dict) -> ExponentSet:
-    """Parse the structured-text form, e.g. {"kind": "primes_in_ap", "d": 4, "h": 3}."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("set spec must be an object with a 'kind' field")
-    rules = _rules(obj["kind"])
-    names = (*rules.fields, "min")
-    if extra := [name for name in obj if name not in ("kind", *names)]:
-        raise ValueError(f"set kind {obj['kind']!r} has no field {extra[0]!r}")
-    spec = {"min": 1, **rules.defaults, **obj}
-    for name in names:
-        if name not in spec:
-            raise ValueError(f"set kind {obj['kind']!r} requires '{name}'")
-        value = spec[name]
-        if name != "members":
-            json_int(name, value)
-        elif isinstance(value, list):
-            for idx, member in enumerate(value):
-                json_int(f"members[{idx}]", member)
-        else:
-            raise ValueError("'members' must be a list of integers")
-    return rules.factory(*(spec[name] for name in names))
-
-
-def json_int(name: str, value) -> int:
-    """value if it is an integer and not a boolean; else a ValueError naming `name`."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"'{name}' must be an integer, got {value!r}")
-    return value
-
-
 # ---------------------------------------------------------------- set kinds
 
 @dataclass(frozen=True)
@@ -179,13 +150,6 @@ class _Kind:
     fields: tuple[str, ...] = ()
     defaults: dict = field(default_factory=dict)
     finite: bool = False
-
-
-def _rules(kind) -> _Kind:
-    rules = _KINDS.get(kind) if isinstance(kind, str) else None
-    if rules is None:
-        raise ValueError(f"unknown set kind {kind!r}")
-    return rules
 
 
 def _explicit_contains(s: ExponentSet, n: int) -> bool:
@@ -220,7 +184,7 @@ def _pell_pairs(s: ExponentSet, limit: int) -> list[tuple[int, int]]:
     return pairs
 
 
-_KINDS = {
+KINDS = {
     "naturals": _Kind(
         naturals,
         contains=lambda s, n: True,

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from lacunary.cli import (
+    _COEFFS,
     _FIELDS,
     _MISSING,
+    _SETS,
     _TERM,
     _VALUES,
     COMMANDS,
@@ -139,10 +141,10 @@ def test_override_flags_set_their_field(tmp_path, capsys, flag, command, payload
     if (flag, command) not in {(f, c) for f, c, *_ in OVERRIDES}])
 def test_override_flags_only_where_they_apply(tmp_path, capsys, flag, command):
     # e.g. `gaps --precision 5` has no field to override: argparse refuses it
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--spec", write_spec(tmp_path, {}), flag, "5"])
-    assert exc.value.code == EXIT_INPUT
-    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+    code, out, err = run_cli([command, "--spec", write_spec(tmp_path, {}), flag, "5"], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("usage: lacunary ")
+    assert f"unrecognized arguments: {flag} 5" in err
 
 
 def test_gaps_job(tmp_path, capsys):
@@ -332,19 +334,19 @@ def test_item_fields_name_their_item(tmp_path, capsys):
         assert (code, out, err) == (EXIT_INPUT, "", f"spec error: {message}\n")
 
 
+BOOL = "expected an integer, got a boolean"
+
+
 @pytest.mark.parametrize("change, field, message", [
-    ({"coeff": {"kind": "const", "value": 2.5}}, "coeff", "'value' must be an integer, got 2.5"),
-    ({"coeff": {"kind": "const", "value": True}}, "coeff", "'value' must be an integer, got True"),
-    ({"coeff": {"kind": "table", "values": {"1": 1.5}}}, "coeff",
-     "'values.1' must be an integer, got 1.5"),
-    ({"coeff": {"kind": "table", "values": [1]}}, "coeff", "'values' must be an object"),
-    ({"set": {"kind": "explicit", "members": [1.5, 2]}}, "set",
-     "'members[0]' must be an integer, got 1.5"),
-    ({"set": {"kind": "geometric", "u": 1, "j": 2.0}}, "set", "'j' must be an integer, got 2.0"),
-    ({"set": {"kind": "pell_x", "D": 2.0}}, "set", "'D' must be an integer, got 2.0"),
-    ({"set": {"kind": "naturals", "min": 2.5}}, "set", "'min' must be an integer, got 2.5"),
-    ({"set": {"kind": "pell_y", "D": 2, "scale": True}}, "set",
-     "'scale' must be an integer, got True"),
+    ({"coeff": {"kind": "const", "value": 2.5}}, "coeff.value", "expected int"),
+    ({"coeff": {"kind": "const", "value": True}}, "coeff.value", BOOL),
+    ({"coeff": {"kind": "table", "values": {"1": 1.5}}}, "coeff.values.1", "expected int"),
+    ({"coeff": {"kind": "table", "values": [1]}}, "coeff.values", "expected dict"),
+    ({"set": {"kind": "explicit", "members": [1.5, 2]}}, "set.members[0]", "expected int"),
+    ({"set": {"kind": "geometric", "u": 1, "j": 2.0}}, "set.j", "expected int"),
+    ({"set": {"kind": "pell_x", "D": 2.0}}, "set.D", "expected int"),
+    ({"set": {"kind": "naturals", "min": 2.5}}, "set.min", "expected int"),
+    ({"set": {"kind": "pell_y", "D": 2, "scale": True}}, "set.scale", BOOL),
 ])
 def test_non_integer_set_and_coeff_parameters_exit_2(tmp_path, capsys, change, field, message):
     spec = write_spec(tmp_path, {"base": 10, "digits": 5, "terms": [{**ALPHA_TERM, **change}]})
@@ -362,6 +364,26 @@ def test_exponent_pairs_name_their_field(tmp_path, capsys, command, payload, fie
     code, out, err = run_cli([command, "--spec", write_spec(tmp_path, payload)], capsys)
     assert (code, out) == (EXIT_INPUT, "")
     assert err == f"spec error: field '{field}': need i >= 1 and j >= 2, got {pair}\n"
+
+
+@pytest.mark.parametrize("command, payload, expected", [
+    ("gaps", {"range": [1, 16], "terms": [ALPHA_TERM]}, EXIT_OK),
+    ("hunt", {"precision": 50, "values": [{"kind": "int", "value": 1},
+                                          {"kind": "series", "i": 1, "j": 2, "set": {"kind": "primes"}}]},
+     EXIT_NOT_FOUND),
+    ("counterexample", {"pair1": [1, 2], "pair2": [2, 2], "precision": 20}, EXIT_OK),
+])
+def test_base_above_36_is_refused_only_where_digits_are_rendered(tmp_path, capsys, command, payload,
+                                                                   expected):
+    # eval and digits refuse base 37 (error corpus); these never render digits
+    code, _, err = run_cli([command, "--spec", write_spec(tmp_path, {"base": 37, **payload})], capsys)
+    assert (code, err) == (expected, "")
+
+
+def test_missing_spec_flag_returns_2(capsys):
+    code, out, err = run_cli(["eval"], capsys)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("usage: lacunary eval ") and "required: --spec" in err
 
 
 def test_range_is_not_an_exponent_pair(tmp_path, capsys):
@@ -530,19 +552,21 @@ def test_readme_spec_fields_match_the_field_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     rows = [[cell.strip() for cell in line.strip("|").split("|")]
             for line in readme.splitlines() if line.count("|") == 6]
-    # one README table for the subcommands' top levels, one for terms and hunt values
+    # one README table for the subcommands' top levels, one for terms and hunt
+    # values, and one for the set and coefficient objects of each kind
     tables = {"command": _FIELDS,
-              "object": {"term": _TERM, **{f"{kind} value": t for kind, t in _VALUES.items()}}}
+              "object": {"term": _TERM, **{f"{kind} value": t for kind, t in _VALUES.items()}},
+              "kind": {**{f"{kind} set": t for kind, t in _SETS.items()},
+                       **{f"{kind} coeff": t for kind, t in _COEFFS.items()}}}
     starts = [idx for idx, row in enumerate(rows) if row[1:] == ["field", "type", "default", "minimum"]]
     assert [rows[idx][0] for idx in starts] == list(tables)
-    types = {"integer": int, "list": list, "boolean": bool, "object": dict, "string": str,
-             "any": object}
+    types = {"integer": int, "list": list, "boolean": bool, "object": dict, "string": str}
     for start, end in zip(starts, starts[1:] + [len(rows)]):
         table, body = tables[rows[start][0]], rows[start + 2:end]
         assert [(c, f, types[t], int(m) if m else None) for c, f, t, _, m in body] == [
             (owner, name, kind, minimum)
-            for owner, fields in table.items() for name, kind, _, minimum in fields]
-        defaults = [default for fields in table.values() for _, _, default, _ in fields]
+            for owner, fields in table.items() for name, kind, _, minimum, *_ in fields]
+        defaults = [row[2] for fields in table.values() for row in fields]
         for (_, name, _, cell, _), default in zip(body, defaults):
             if default is _MISSING:
                 assert cell.startswith("required"), name

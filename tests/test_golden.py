@@ -58,11 +58,14 @@ def test_error_matches_saved_stderr(case, tmp_path, capsys):
 
 
 def _objects(spec: dict):
-    """(where, object) for the top level, each term and each hunt value of a spec."""
+    """(where, object) for the top level, each term and hunt value, and their sets and coeffs."""
     yield "", spec
     for key in ("terms", "values"):
         for idx, item in enumerate(spec.get(key, [])):
             yield f"{key}[{idx}].", item
+            for field in ("set", "coeff"):
+                if field in item:
+                    yield f"{key}[{idx}].{field}.", item[field]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacunary.arith import BudgetExceeded
+from lacunary.cli import _TERM, SpecError, _read
 from lacunary.series import (
     CoeffFn,
     FixedPointValue,
@@ -201,25 +202,31 @@ def test_eval_linear_form_digits_cap():
         eval_linear_form(f, MAX_DIGITS + 1)
 
 
+def read_coeff(obj):
+    """obj read as the coefficients of a term, as the command line reads it."""
+    fields, _ = _read({"i": 1, "j": 2, "set": {"kind": "naturals"}, "coeff": obj}, _TERM)
+    return fields["coeff"]
+
+
 def test_coefficient_unknown_field_is_named():
     for obj in ({"kind": "const", "value": 2}, {"kind": "alternating"},
                 {"kind": "table", "values": {"1": 2}, "bound": 3}):
-        assert CoeffFn.from_json(obj).to_json() == obj
+        assert read_coeff(obj).to_json() == obj
         for name in ("value", "values", "bound", "valeu"):
             if name not in obj:
-                with pytest.raises(ValueError,
-                                   match=f"coefficient kind '{obj['kind']}' has no field '{name}'"):
-                    CoeffFn.from_json({**obj, name: 1})
+                with pytest.raises(SpecError, match=f"field 'coeff.{name}': unknown field"):
+                    read_coeff({**obj, name: 1})
 
 
 def test_table_key_past_the_int_str_limit():
     limit = sys.get_int_max_str_digits()
     key = "9" * (limit + 1)
-    with pytest.raises(ValueError, match=f"table key of {limit + 1} digits is too long"):
-        CoeffFn.from_json({"kind": "table", "values": {key: 1}})
-    with pytest.raises(ValueError, match=f"table key of {limit + 1} digits is too long"):
-        CoeffFn.from_json({"kind": "table", "values": {"-" + key: 1}})
-    assert CoeffFn.from_json({"kind": "table", "values": {key[1:]: 1}}).table == {int(key[1:]): 1}
+    too_long = f"field 'coeff.values': table key of {limit + 1} digits is too long"
+    with pytest.raises(SpecError, match=too_long):
+        read_coeff({"kind": "table", "values": {key: 1}})
+    with pytest.raises(SpecError, match=too_long):
+        read_coeff({"kind": "table", "values": {"-" + key: 1}})
+    assert read_coeff({"kind": "table", "values": {key[1:]: 1}}).table == {int(key[1:]): 1}
 
 
 @given(st.text(alphabet="0123456789-+ _\u0661x", max_size=5) | st.integers(-999, 999).map(str))
@@ -231,10 +238,10 @@ def test_table_keys_must_be_canonical(key):
         canonical = False
     obj = {"kind": "table", "values": {key: 3}}
     if canonical:
-        assert CoeffFn.from_json(obj).table == {int(key): 3}
+        assert read_coeff(obj).table == {int(key): 3}
     else:
-        with pytest.raises(ValueError, match="table key"):
-            CoeffFn.from_json(obj)
+        with pytest.raises(SpecError, match="field 'coeff.values': table key"):
+            read_coeff(obj)
 
 
 def test_render_digits_examples():

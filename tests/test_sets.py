@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacunary import dependence
+from lacunary.cli import _TERM, SpecError, _read
 from lacunary.sets import (
     explicit,
-    from_json,
     geometric,
     naturals,
     pell_x,
@@ -113,18 +113,24 @@ def test_invalid_constructions():
         pell_y(9)
 
 
+def read_set(obj):
+    """obj read as the set of a term, as the command line reads it."""
+    fields, _ = _read({"i": 1, "j": 2, "set": obj}, _TERM)
+    return fields["set"]
+
+
 def test_json_round_trip():
     rng = random.Random(7)
     for s in _KINDS.values():
-        again = from_json(s.to_json())
+        again = read_set(s.to_json())
         assert again == s
         limit = rng.randrange(50, 200)
         assert set_enumerate(again, limit) == set_enumerate(s, limit)
-    assert from_json({"kind": "primes_in_ap", "d": 4, "h": 3}) == primes_in_ap(4, 3)
-    with pytest.raises(ValueError):
-        from_json({"kind": "moonphase"})
-    with pytest.raises(ValueError):
-        from_json({"no": "kind"})
+    assert read_set({"kind": "primes_in_ap", "d": 4, "h": 3}) == primes_in_ap(4, 3)
+    with pytest.raises(SpecError, match="field 'set.kind': expected one of: naturals, "):
+        read_set({"kind": "moonphase"})
+    with pytest.raises(SpecError, match="field 'set.kind': required field is missing"):
+        read_set({"no": "kind"})
 
 
 def test_unknown_field_is_named():
@@ -132,14 +138,14 @@ def test_unknown_field_is_named():
     for s in _KINDS.values():
         obj = s.to_json()
         for name in sorted(fields - set(obj) - {"min"}) + ["scal"]:
-            with pytest.raises(ValueError, match=f"set kind '{s.kind}' has no field '{name}'"):
-                from_json({**obj, name: 1})
-        assert from_json({**obj, "min": 2}).min_value == 2
+            with pytest.raises(SpecError, match=f"field 'set.{name}': unknown field"):
+                read_set({**obj, name: 1})
+        assert read_set({**obj, "min": 2}).min_value == 2
 
 
 def test_missing_parameter_is_named():
     for s in _KINDS.values():
         obj = s.to_json()
         for name in set(obj) - {"kind", "min", "scale"}:  # pell_y's scale defaults to 1
-            with pytest.raises(ValueError, match=f"set kind '{s.kind}' requires '{name}'"):
-                from_json({k: v for k, v in obj.items() if k != name})
+            with pytest.raises(SpecError, match=f"field 'set.{name}': required field is missing"):
+                read_set({k: v for k, v in obj.items() if k != name})
