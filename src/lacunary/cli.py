@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verified violation or nothing found, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -160,15 +161,10 @@ def _parse_render_base(raw: int, fields: dict, name: str):
 
 def _parse_family(raw: list, fields: dict, name: str):
     family = [_index_pair(p, f"{name}[{idx}]") for idx, p in enumerate(raw)]
-    return family, [list(p) for p in family]
-
-
-def _parse_distinct_family(raw: list, fields: dict, name: str):
-    family, normalized = _parse_family(raw, fields, name)
     for idx, pair in enumerate(family):
         if family.index(pair) < idx:
             raise SpecError(f"{name}[{idx}]", f"duplicate pair {pair}")
-    return family, normalized
+    return family, [list(p) for p in family]
 
 
 def _parse_pair(raw: list, fields: dict, name: str):
@@ -254,7 +250,7 @@ _FIELDS = {
               ("scan_budget", int, forge.DEFAULT_SCAN_LIMIT, 1),
               ("attempt_budget", int, forge.DEFAULT_PRIME_BUDGET, 1),
               ("retries", int, 32, 1), ("require_large", bool, True, None)),
-    "check": (("family", list, _MISSING, None, _parse_distinct_family),),
+    "check": (("family", list, _MISSING, None, _parse_family),),
     "counterexample": (("pair1", list, _MISSING, None, _parse_pair),
                        ("pair2", list, _MISSING, None, _parse_pair),
                        _BASE, ("precision", int, 200, 1)),
@@ -416,7 +412,9 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call of main."""
     parser = argparse.ArgumentParser(
         prog="lacunary",
         description="reproducible experiments over lacunary series in base-b",
@@ -430,8 +428,12 @@ def main(argv=None) -> int:
             if field in [row[0] for row in rows]:
                 p.add_argument(flag, type=int, dest=field, help=f"override the '{field}' field")
         p.add_argument("--format", choices=("json", "text"), default="json")
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed its usage and message (or --help)
         return exc.code
 

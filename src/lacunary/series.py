@@ -8,8 +8,9 @@ view (one integer per base-b position) and its zero-run scans live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from .arith import BudgetExceeded, exponent_images, exponent_range, int_nth_root
 from .sets import ExponentSet, set_enumerate
@@ -21,6 +22,22 @@ GUARD_DIGITS = 16
 MAX_DIGITS = 10**6
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def _powers(b: int):
+    """k -> b**k, memoised. With b = odd * 2**s it is computed as
+    odd**k << s*k: a shift when b is a power of two, and about half the time
+    of a plain power for b = 10."""
+    s = (b & -b).bit_length() - 1
+    odd = b >> s
+    return cache(lambda k: odd**k << s * k)
+
+
+@lru_cache(maxsize=1)
+def _unit(b: int, scale: int) -> int:
+    """b**scale, the denominator of a fixed-point value. A job's values
+    share one scale, so the last one is kept: one job computes it once."""
+    return _powers(b)(scale)
 
 
 class MissingCoefficient(ValueError):
@@ -140,7 +157,7 @@ class FixedPointValue:
 
     @classmethod
     def from_int(cls, value: int, base: int, scale: int) -> "FixedPointValue":
-        return cls(base, value * base**scale, scale)
+        return cls(base, value * _unit(base, scale), scale)
 
     @classmethod
     def zero(cls, base: int, scale: int = 1) -> "FixedPointValue":
@@ -151,7 +168,7 @@ class FixedPointValue:
         return self.error_bound == 0
 
     def to_fraction(self) -> Fraction:
-        return Fraction(self.mantissa, self.base**self.scale)
+        return Fraction(self.mantissa, _unit(self.base, self.scale))
 
     def scaled_mantissa(self, target_scale: int) -> int:
         """Mantissa at a coarser-grained scale >= self.scale; exact."""
@@ -168,7 +185,7 @@ class FixedPointValue:
 
     def to_decimal(self, places: int = 30) -> str:
         """Decimal rendering, truncated toward zero."""
-        denom = self.base**self.scale
+        denom = _unit(self.base, self.scale)
         sign = "-" if self.mantissa < 0 else ""
         m = abs(self.mantissa)
         int_part, rem = divmod(m, denom)
@@ -211,6 +228,13 @@ def eval_series(spec: SeriesSpec, b: int, digits: int) -> FixedPointValue:
     Every member with exponent i*n**j <= digits + GUARD_DIGITS contributes
     exactly; the error bound covers all omitted terms. An explicit set whose
     members were all included yields an exact value.
+
+    The members are summed as a balanced tree, the subquadratic integer
+    input of Brent & Zimmermann, Modern Computer Arithmetic, section 1.7,
+    with gaps of any length: adjacent runs of members combine pairwise as
+    left * b**gap + right, where gap is the distance between the last
+    exponents of the two runs, so each level costs about one full-size
+    multiplication; the powers of b are memoised.
     """
     if b < 2:
         raise ValueError("base must be >= 2")
@@ -220,14 +244,16 @@ def eval_series(spec: SeriesSpec, b: int, digits: int) -> FixedPointValue:
     n_cap = int_nth_root(scale // spec.i, spec.j)[0] if spec.i <= scale else 0
     members = set_enumerate(spec.set, n_cap) if n_cap >= 1 else []
 
-    # Horner over the ascending exponents: mantissa * b**gap + coeff per
-    # member, then one shift to the full scale.
-    mantissa = last = 0
-    for n in members:
-        e = spec.exponent(n)
-        mantissa = mantissa * b ** (e - last) + spec.coeff(n)
-        last = e
-    mantissa *= b ** (scale - last)
+    # (sum of coeff(n) * b**(last - exponent(n)) over a run, last exponent
+    # of the run), one per member to begin with, merged pairwise.
+    power = _powers(b)
+    runs = [(spec.coeff(n), spec.exponent(n)) for n in members]
+    while len(runs) > 1:
+        merged = [(left * power(e2 - e1) + right, e2)
+                  for (left, e1), (right, e2) in zip(runs[::2], runs[1::2])]
+        runs = merged + runs[len(merged) * 2:]
+    mantissa, last = runs[0] if runs else (0, scale)
+    mantissa *= power(scale - last)
 
     if spec.set.is_finite:
         all_members = (spec.set.members_up_to(spec.set.members[-1])
@@ -241,7 +267,7 @@ def eval_series(spec: SeriesSpec, b: int, digits: int) -> FixedPointValue:
 def _tail(bound: int, b: int, scale: int) -> Fraction:
     # All omitted exponents exceed `scale` and are distinct:
     # sum over m > scale of bound * b**-m.
-    return Fraction(bound, (b - 1) * b**scale)
+    return Fraction(bound, (b - 1) * _unit(b, scale))
 
 
 def eval_linear_form(form: LinearFormSpec, digits: int) -> FixedPointValue:
@@ -249,7 +275,7 @@ def eval_linear_form(form: LinearFormSpec, digits: int) -> FixedPointValue:
     if digits > MAX_DIGITS:
         raise BudgetExceeded(f"digits = {digits} is above the cap of {MAX_DIGITS}")
     scale = digits + GUARD_DIGITS
-    mantissa = form.constant * form.base**scale
+    mantissa = form.constant * _unit(form.base, scale) if form.constant else 0
     error = Fraction(0)
     for w, spec in form.terms:
         v = eval_series(spec, form.base, digits)
@@ -346,20 +372,21 @@ def fraction_sci(fr: Fraction, sig: int = 3) -> str:
     f = -fr if fr < 0 else fr
     num, den = f.numerator, f.denominator
     # Within one of floor(log10 f), from the bit lengths (30103 / 10**5 is
-    # log10 2 to five places); the loop below settles the exact exponent.
+    # log10 2 to five places). One power of ten gives floor(f * 10**(sig - e)):
+    # the sig leading digits at exponent e - 1 and, after dropping trailing
+    # digits, at the exponents above it.
+    ten = _powers(10)
     e = (num.bit_length() - den.bit_length()) * 30103 // 100000
     while True:
-        shift = sig - 1 - e
-        if shift >= 0:
-            scaled = num * 10**shift // den
-        else:
-            scaled = num // (den * 10**-shift)
-        if scaled >= 10**sig:
-            e += 1
-        elif scaled < 10 ** (sig - 1):
-            e -= 1
-        else:
+        shift = sig - e
+        scaled = num * ten(shift) // den if shift >= 0 else num // (den * ten(-shift))
+        if scaled >= 10 ** (sig - 1):
             break
+        e -= 1
+    e -= 1
+    while scaled >= 10**sig:
+        scaled //= 10
+        e += 1
     digits = str(scaled)
     return f"{sign}{digits[0]}.{digits[1:]}e{e:+d}"
 
@@ -370,6 +397,13 @@ def render_digits(v: FixedPointValue, count: int) -> DigitRendering:
     A digit is flagged uncertain when a perturbation within the error bound
     could change it, i.e. the digit prefix differs between value - error and
     value + error (carry propagation included).
+
+    Only the value's digits are converted. The flagged positions are the
+    last t, for the least t with lo // b**t == hi // b**t, where lo and hi
+    are the truncations of value - error and value + error to `count`
+    digits; t is found by doubling from 1 and then bisection, reading the
+    value's digit suffixes. A carry run through the flagged digits makes t
+    large, not wrong.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -379,38 +413,76 @@ def render_digits(v: FixedPointValue, count: int) -> DigitRendering:
         raise ValueError(f"digit rendering supports bases up to {len(_DIGIT_CHARS)}")
 
     b = v.base
-    power = cache(lambda k: b**k)
-    step = power(v.scale - count)
+    power = _powers(b)
+    unit, step = _unit(b, v.scale), power(v.scale - count)
     m = abs(v.mantissa)
-    digit_str = _base_digits(m // step, b, count, power)
+    x = m % unit // step
+    digit_str = _base_digits(x, b, count, power)
 
     if v.error_bound == 0:
         return DigitRendering(digit_str, ())
 
     # Integer cover of the error: floor(error * b**scale) + 1.
     error = v.error_bound
-    spread = error.numerator * power(v.scale) // error.denominator + 1
-    lo_int, lo_frac = divmod((m - spread) // step, power(count))
-    hi_int, hi_frac = divmod((m + spread) // step, power(count))
+    spread = error.numerator * unit // error.denominator + 1
+    lo_int, lo = divmod(m - spread, unit)
+    hi_int, hi = divmod(m + spread, unit)
     if lo_int != hi_int:  # also when value - error < 0, as hi_int >= 0
         return DigitRendering(digit_str, tuple(range(1, count + 1)))
-    lo_str = _base_digits(lo_frac, b, count, power)
-    hi_str = _base_digits(hi_frac, b, count, power)
-    pos = next((k for k, (x, y) in enumerate(zip(lo_str, hi_str)) if x != y), count)
-    return DigitRendering(digit_str, tuple(range(pos + 1, count + 1)))
+    t = _flagged_count(digit_str, x - lo // step, hi // step - x, b, power)
+    return DigitRendering(digit_str, tuple(range(count - t + 1, count + 1)))
+
+
+def _flagged_count(digits: str, below: int, above: int, b: int, power) -> int:
+    """The least t with (x - below) // b**t == (x + above) // b**t, where
+    `digits` are the base-b digits of x and t = len(digits) is known to hold.
+
+    With r the value of the last t digits, that holds iff r >= below and
+    r + above < b**t, and then for every larger t too. Doubling from t = 1
+    brackets it, bisection finds it; r is read from the digit string, so a
+    test costs the length of the suffix, not of x.
+    """
+    def holds(t: int) -> bool:
+        r = parse_digits(digits[-t:], b) if t else 0
+        return r >= below and r + above < power(t)
+
+    if holds(0):
+        return 0
+    count = len(digits)
+    fails, good = 0, 1
+    while good < count and not holds(good):
+        fails, good = good, 2 * good
+    good = min(good, count)
+    while good - fails > 1:
+        mid = (fails + good) // 2
+        if holds(mid):
+            good = mid
+        else:
+            fails = mid
+    return good
 
 
 # Digits converted by the plain divmod loop at the leaves of the recursion.
 _LEAF_DIGITS = 128
+# format() codes of the bases whose digits are bit fields.
+_FORMATS = {2: "b", 8: "o", 16: "x"}
 
 
 def _base_digits(n: int, b: int, width: int, power) -> str:
-    """The `width` lowest base-b digits of n >= 0, most significant first.
+    """The base-b digits of 0 <= n < b**width, most significant first,
+    zero-padded to `width`.
 
-    Divide-and-conquer radix conversion (Brent & Zimmermann, Modern Computer
-    Arithmetic, section 1.7): split on b**(width // 2), convert both halves.
+    The path depends on the base alone. Bases 2, 8 and 16 read bit fields
+    with format(), in linear time. Base 10 goes through `_decimal_digits`.
+    Every other base is divide-and-conquer radix conversion (Brent &
+    Zimmermann, Modern Computer Arithmetic, section 1.7): split on
+    b**(width // 2), convert both halves, with a divmod loop at the leaves.
     `power(k)` returns b**k from the caller's cache.
     """
+    if b in _FORMATS:
+        return format(n, _FORMATS[b]).zfill(width)
+    if b == 10:
+        return _decimal_digits(n).zfill(width)
     if width <= _LEAF_DIGITS:
         out = []
         for _ in range(width):
@@ -422,19 +494,48 @@ def _base_digits(n: int, b: int, width: int, power) -> str:
     return _base_digits(high, b, width - half, power) + _base_digits(low, b, half, power)
 
 
+# Exact decimal arithmetic: a result that would need rounding raises.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+# Bits converted by Decimal(int) at the leaves of the recursion.
+_LEAF_BITS = 256
+
+
+def _decimal_digits(n: int) -> str:
+    """The decimal digits of n >= 0, without leading zeros.
+
+    Subquadratic integer input into decimal arithmetic (Brent & Zimmermann,
+    section 1.7): n = high * 2**k + low, with k half the bit length, is
+    rebuilt from its converted halves as a Decimal, whose large products are
+    number-theoretic-transform multiplications, and Decimal prints the
+    result. No int is converted to a string, so CPython's int <-> str digit
+    limit does not apply.
+    """
+    pow2 = cache(lambda k: Decimal(1 << k) if k <= _LEAF_BITS
+                 else pow2(k // 2) * pow2(k - k // 2))
+
+    def convert(n: int, bits: int) -> Decimal:  # n < 2**bits
+        if bits <= _LEAF_BITS:
+            return Decimal(n)
+        half = bits // 2
+        return convert(n >> half, bits - half) * pow2(half) + convert(n & ((1 << half) - 1), half)
+
+    with localcontext(_EXACT):
+        return str(convert(n, n.bit_length()))
+
+
 def parse_digits(text: str, b: int) -> int:
     """The value of a nonempty string of base-b digits, most significant first.
 
     Every character must be a base-b digit as int(ch, b) reads it: no sign,
     prefix, underscore or whitespace; anything else raises ValueError.
-    Converts by divide and conquer, the inverse of `_base_digits`, so
-    CPython's int <-> str digit limit does not apply.
+    Converts by divide and conquer, the inverse of `_base_digits` for a
+    general base, so CPython's int <-> str digit limit does not apply.
     """
     if not text:
         raise ValueError(f"no base-{b} digits")
     for ch in set(text):
         int(ch, b)  # raises ValueError on a character that is no base-b digit
-    return _parse_chunk(text, b, cache(lambda k: b**k))
+    return _parse_chunk(text, b, _powers(b))
 
 
 def _parse_chunk(digits: str, b: int, power) -> int:

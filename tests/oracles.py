@@ -3,7 +3,9 @@
 Nothing in here touches the package under test, apart from the set
 membership tests and coefficient functions a caller passes in with a form;
 everything is the dumbest correct method available (trial division, sieves,
-exhaustive scans, exact Fraction summation).
+exhaustive scans, exact Fraction summation), or, for the ref_* functions,
+brute_lll and horner_mantissa, the package's own earlier method, kept as the
+reference for the faster code that replaced it.
 """
 
 from __future__ import annotations
@@ -90,6 +92,44 @@ def brute_render_digits(v, count: int) -> tuple[str, tuple[int, ...]]:
         if lo // shift != hi // shift:
             return digits, tuple(range(pos, count + 1))
     return digits, ()
+
+
+# Digits converted by the plain divmod loop at the leaves of ref_base_digits.
+_LEAF_DIGITS = 128
+
+
+def ref_base_digits(n: int, b: int, width: int, power) -> str:
+    """The `width` lowest base-b digits of n >= 0, most significant first.
+
+    The conversion the package used for every base before its native-radix
+    paths, kept as a reference: divide and conquer on b**(width // 2), a
+    divmod loop at the leaves. `power(k)` returns b**k.
+    """
+    if width <= _LEAF_DIGITS:
+        out = []
+        for _ in range(width):
+            n, d = divmod(n, b)
+            out.append(_DIGIT_CHARS[d])
+        return "".join(reversed(out))
+    half = width // 2
+    high, low = divmod(n, power(half))
+    return ref_base_digits(high, b, width - half, power) + ref_base_digits(low, b, half, power)
+
+
+def horner_mantissa(spec, b: int, scale: int, members) -> int:
+    """sum of spec.coeff(n) * b**(scale - spec.exponent(n)) over ascending members.
+
+    The summation the package used before its tree summation, kept as a
+    reference: Horner over the ascending exponents, mantissa * b**gap +
+    coeff per member, then one shift to the full scale.
+    """
+    mantissa = last = 0
+    for n in members:
+        e = spec.exponent(n)
+        mantissa = mantissa * b ** (e - last) + spec.coeff(n)
+        last = e
+    mantissa *= b ** (scale - last)
+    return mantissa
 
 
 def brute_pell_fundamental(D: int, x_cap: int = 10**6) -> tuple[int, int]:

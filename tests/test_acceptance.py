@@ -281,3 +281,31 @@ def test_c11_sparse_windows_at_scale():
     brute = sorted(brute_equation_solutions(1, 3, 1, 2, 200, 2000),
                    key=lambda s: (s[0], s[2], s[3] != "+"))
     assert [s for s in got if s[0] <= 2000] == brute
+
+
+def test_c12_decimal_eval_at_scale():
+    # One dense term in base 10: sum over n of 10**-(n*n), rendered in full.
+    digits = 3 * 10**5
+    spec = {"base": 10, "digits": digits,
+            "terms": [{"i": 1, "j": 2, "set": {"kind": "naturals"}}]}
+    with criterion(12, "eval at base 10 with 300000 digits", 2.0):
+        report, code = run_job("eval", spec)
+    assert code == EXIT_OK
+    result = report["result"]
+    got = result["value_digits"]
+    assert len(got) == digits and result["sign"] == "+"
+    flagged = result["uncertain_positions"]
+    certain = flagged[0] - 1 if flagged else digits
+    assert certain > digits // 2
+    # Window by window against the brute mantissa `deeper` digits past the
+    # window's end.  Members with exponent <= start only add multiples of
+    # 10**(width + deeper), and the omitted ones add less than one unit, so
+    # the window's digits are exact.
+    width, deeper = 2000, 40
+    for start in range(0, certain, width):
+        end = min(start + width, certain)  # positions start + 1 .. end
+        depth = end + deeper
+        members = range(math.isqrt(start) + 1, math.isqrt(depth) + 1)
+        m = brute_series_mantissa(10, 1, 2, members, lambda n: 1, depth)
+        expected = brute_digit_string(m // 10**deeper % 10 ** (end - start), 10, end - start)
+        assert got[start:end] == expected

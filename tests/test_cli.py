@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from lacunary.cli import (
     EXIT_OK,
     main,
 )
+import lacunary
 from lacunary import dependence, series
 from lacunary.series import GUARD_DIGITS
 
@@ -384,6 +386,25 @@ def test_missing_spec_flag_returns_2(capsys):
     code, out, err = run_cli(["eval"], capsys)
     assert (code, out) == (EXIT_INPUT, "")
     assert err.startswith("usage: lacunary eval ") and "required: --spec" in err
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process: an argparse error, an override
+    # and plain calls in a row must each answer as a fresh process does.
+    monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the terminal width
+    spec = write_spec(tmp_path, {"base": 2, "digits": 10, "terms": [ALPHA_TERM]})
+    gaps = write_spec(tmp_path, {"base": 2, "range": [1, 16], "terms": [ALPHA_TERM]}, "gaps.json")
+    calls = [["eval", "--spec", spec, "--budget", "5"],
+             ["eval", "--spec", spec, "--precision", "7"],
+             ["eval", "--spec", spec],
+             ["gaps", "--spec", gaps]]
+    in_process = [run_cli(args, capsys) for args in calls]
+    env = {**os.environ, "PYTHONPATH": str(Path(lacunary.__file__).resolve().parents[1])}
+    fresh = [subprocess.run([sys.executable, "-m", "lacunary.cli", *args],
+                            capture_output=True, text=True, env=env) for args in calls]
+    assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+    assert [code for code, _, _ in in_process] == [EXIT_INPUT, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert [json.loads(out)["spec"]["digits"] for _, out, _ in in_process[1:3]] == [7, 10]
 
 
 def test_range_is_not_an_exponent_pair(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from lacunary.series import (
     GUARD_DIGITS,
     MAX_DIGITS,
     SeriesSpec,
+    _base_digits,
     coefficient_at,
     eval_linear_form,
     eval_series,
@@ -30,6 +32,7 @@ from lacunary.sets import (
     geometric,
     naturals,
     pell_x,
+    pell_y,
     primes,
     primes_in_ap,
     squarefree,
@@ -39,6 +42,8 @@ from oracles import (
     brute_digit_string,
     brute_render_digits,
     brute_series_mantissa,
+    horner_mantissa,
+    ref_base_digits,
     series_partial_sum,
     sieve_primes,
 )
@@ -350,18 +355,20 @@ def test_fixed_point_helpers():
 def fixed_point_values(draw):
     """A value to render: any sign and size, near carries or zero, any error."""
     b = draw(st.integers(2, 36))
-    scale = draw(st.integers(1, 500))  # past the leaves of the digit conversion
+    scale = draw(st.integers(1, 1200))  # past the leaves and splits of the digit conversions
     count = draw(st.integers(1, scale))
     unit = b ** (scale - count)  # one unit in the last rendered digit
-    shape = draw(st.sampled_from(("any", "carry", "near_zero")))
+    shape = draw(st.sampled_from(("any", "carry", "near_zero", "zero")))
     if shape == "any":  # negative values and values >= 1 included
         m = draw(st.integers(-3 * b**scale, 3 * b**scale))
-    elif shape == "carry":  # just below or above a multiple of b**-pos
+    elif shape == "carry":  # just below or above a multiple of b**-pos: a carry run after pos
         pos = draw(st.integers(0, count))
         m = (draw(st.integers(0, 3 * b**pos)) * b ** (scale - pos)
-             + draw(st.integers(-3 * unit, 3 * unit)))
-    else:  # within a few units of zero, so value - error may be negative
+             + draw(st.one_of(st.integers(-3 * unit, 3 * unit), st.integers(-3, 3))))
+    elif shape == "near_zero":  # within a few units of zero, so value - error may be negative
         m = draw(st.integers(-3 * unit, 3 * unit))
+    else:
+        m = 0
     error = draw(st.one_of(
         st.just(Fraction(0)),
         st.builds(lambda num, den, e: Fraction(num, den * b**e),
@@ -377,9 +384,48 @@ def test_render_digits_matches_brute_oracle(case):
     assert (r.digits, r.uncertain) == brute_render_digits(v, count)
 
 
+# Digit counts at and around the leaves and splits of the conversions: the
+# 128-digit divmod leaf, 77 decimal digits (256 bits, the decimal leaf) and
+# powers of two; bit lengths around the binary splits of the decimal path.
+_EDGE_WIDTHS = sorted({w + d for w in (64, 77, 128, 155, 256, 512, 1024) for d in (-1, 0, 1)})
+_EDGE_BITS = sorted({k + d for k in (256, 512, 1024, 2048, 4096) for d in (-1, 0, 1)})
+
+
+@st.composite
+def digit_cases(draw):
+    """(n, b, width) with 0 <= n < b**width, n random or at a digit or bit edge."""
+    b = draw(st.integers(2, 36))
+    width = draw(st.one_of(st.sampled_from(_EDGE_WIDTHS), st.integers(1, 1500)))
+    top = b**width
+    n = draw(st.one_of(
+        st.integers(0, top - 1),
+        st.sampled_from((0, 1, top - 1, top // b, top // b - 1)),
+        st.builds(lambda k, d: min(2**k + d, top - 1),
+                  st.sampled_from(_EDGE_BITS), st.integers(-1, 1))))
+    return n, b, width
+
+
+@given(digit_cases())
+@settings(max_examples=400, deadline=None)
+def test_base_digits_match_the_reference_conversion(case):
+    n, b, width = case
+    power = cache(lambda k: b**k)
+    assert _base_digits(n, b, width, power) == ref_base_digits(n, b, width, power)
+
+
+@pytest.mark.parametrize("b", [2, 3, 8, 10, 16, 36])
+def test_base_digits_past_the_int_str_limit(b):
+    # 20000 digits: any str() of the whole value in base 10 would raise
+    rng = random.Random(b)
+    power = cache(lambda k: b**k)
+    for n, width in ((rng.randrange(b**20000), 20000), (b**5000 - 1, 5000), (b**4301, 4302)):
+        assert _base_digits(n, b, width, power) == ref_base_digits(n, b, width, power)
+
+
 _ORACLE_SETS = {
     "naturals": naturals(), "primes": primes(), "squarefree": squarefree(),
     "primes_in_ap": primes_in_ap(4, 3), "geometric": geometric(2, 2), "pell_x": pell_x(2),
+    "pell_y": pell_y(3, 2),
 }
 
 
@@ -387,7 +433,7 @@ _ORACLE_SETS = {
 def series_cases(draw):
     b = draw(st.integers(2, 36))
     i, j = draw(st.integers(1, 4)), draw(st.integers(2, 4))
-    digits = draw(st.integers(1, 300))
+    digits = draw(st.integers(1, 1000))
     kind = draw(st.sampled_from(sorted(_ORACLE_SETS) + ["explicit"]))
     if kind == "explicit":  # finite: exact when every member is included
         members = draw(st.lists(st.integers(1, 25), max_size=6, unique=True))
@@ -410,6 +456,7 @@ def test_eval_series_matches_brute_oracle(case):
     members = [n for n in spec.set.members_up_to(scale) if spec.exponent(n) <= scale]
     assert v.scale == scale
     assert v.mantissa == brute_series_mantissa(b, spec.i, spec.j, members, spec.coeff, scale)
+    assert v.mantissa == horner_mantissa(spec, b, scale, members)
 
 
 @st.composite
