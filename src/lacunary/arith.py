@@ -342,8 +342,12 @@ class PellSolution:
             raise ValueError(f"({self.x}, {self.y}) does not solve x^2 - {self.D} y^2 = 1")
 
 
-def pell_fundamental(D: int) -> PellSolution:
-    """Least positive solution of x**2 - D*y**2 = 1 via the continued fraction of sqrt(D)."""
+def pell_fundamental(D: int, y_max: int | None = None) -> PellSolution | None:
+    """Least positive solution of x**2 - D*y**2 = 1 via the continued fraction of sqrt(D).
+
+    Given y_max, None when the solution's y exceeds it: its y is a convergent
+    denominator, and those never decrease, so the walk stops past y_max.
+    """
     if D < 1:
         raise ValueError("D must be positive")
     a0, exact = int_nth_root(D, 2)
@@ -352,19 +356,24 @@ def pell_fundamental(D: int) -> PellSolution:
     m, den, a = 0, 1, a0
     h_prev, h = 1, a0
     k_prev, k = 0, 1
-    while h * h - D * k * k != 1:
+    while y_max is None or k <= y_max:
+        if h * h - D * k * k == 1:
+            return PellSolution(D, h, k)
         m = den * a - m
         den = (D - m * m) // den
         a = (a0 + m) // den
         h, h_prev = a * h + h_prev, h
         k, k_prev = a * k + k_prev, k
-    return PellSolution(D, h, k)
+    return None
 
 
-def pell_iter(D: int) -> Iterator[PellSolution]:
-    """All positive solutions in increasing x, generated from the fundamental one."""
-    fund = pell_fundamental(D)
+def pell_iter(D: int, y_max: int | None = None) -> Iterator[PellSolution]:
+    """All positive solutions in increasing x, generated from the fundamental
+    one; given y_max, those with y <= y_max."""
+    fund = pell_fundamental(D, y_max)
+    if fund is None:
+        return
     x, y = fund.x, fund.y
-    while True:
+    while y_max is None or y <= y_max:
         yield PellSolution(D, x, y)
         x, y = x * fund.x + D * y * fund.y, x * fund.y + y * fund.x

@@ -17,9 +17,8 @@ from fractions import Fraction
 # pell_fundamental and pell_iter stay importable from here for existing callers.
 from .arith import (BudgetExceeded, SquareD,  # noqa: F401
                     exponent_range, factor, int_nth_root, pell_fundamental, pell_iter)
-from . import sets as sets_mod
 from .series import MAX_DIGITS, CoeffFn, LinearFormSpec, SeriesSpec, eval_linear_form, fraction_sci
-from .sets import ExponentSet
+from .sets import ExponentSet, geometric, pell_x, pell_y
 
 
 # Largest x_max enumerate_equation_solutions scans (each x costs two root
@@ -167,9 +166,6 @@ class DependencyCertificate:
     def verified(self) -> bool:
         return self.residual <= self.error_bound
 
-    def to_form(self) -> LinearFormSpec:
-        return _pair_form(self.base, self.weights, (self.pair1, self.set1), (self.pair2, self.set2))
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
@@ -202,14 +198,14 @@ def build_counterexample(pair1: tuple[int, int], pair2: tuple[int, int],
     witness = collision_witness(pair1, pair2)
     if witness is not None:
         u, v = witness
-        set1 = sets_mod.geometric(u, j2)
-        set2 = sets_mod.geometric(v, j1)
+        set1 = geometric(u, j2)
+        set2 = geometric(v, j1)
         weights = (0, 1, -1)
         kind = "scaled_sets"
     elif j1 == 2 and j2 == 2 and not int_nth_root(i1 * i2, 2)[1]:
         D = i1 * i2
-        set1 = sets_mod.pell_x(D)
-        set2 = sets_mod.pell_y(D, scale=i1)
+        set1 = pell_x(D)
+        set2 = pell_y(D, scale=i1)
         weights = (0, b**i1, -1)
         kind = "pell"
     else:

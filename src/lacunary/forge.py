@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import (BudgetExceeded, crt_solve, exponent_images, factor, is_prime,
+from .arith import (BudgetExceeded, crt_solve, exponent_range, factor, is_prime,
                     primality_certainty)
-from .sets import naturals
 
 DEFAULT_SCAN_LIMIT = 200_000
 DEFAULT_PRIME_BUDGET = 100_000
@@ -129,11 +128,6 @@ class CongruenceSystem:
     modulus: int
     solution: int
 
-    def congruences(self) -> list[tuple[int, int]]:
-        out = [(self.h, self.d)]
-        out.extend((w.x, w.p * w.p) for _, w in self.witnesses)
-        return out
-
     def to_json(self) -> dict:
         return {
             "i0": self.i0, "j0": self.j0, "window": self.window,
@@ -241,13 +235,13 @@ def verify_exclusions(q: int, i0: int, j0: int, window: int,
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    nat = naturals()
     center = i0 * q**j0
     fam = tuple((int(i), int(j)) for i, j in family)
     found = []
     if window > 1:  # the empty window holds for any family, valid or not
         for rank, (i, j) in enumerate(fam):
-            for n, k in exponent_images(center - window + 1, center + window - 1, i, j, nat):
+            for k in exponent_range(center - window + 1, center + window - 1, i, j):
+                n = i * k**j
                 u = abs(n - center)
                 if u:
                     side = "+" if n > center else "-"

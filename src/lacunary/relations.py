@@ -153,12 +153,11 @@ class RelationSearchReport:
 
     When no relation is returned, ``residual_floor`` is a proven lower bound
     (from the reduction guarantee) on |sum c_i v_i| over all nonzero integer
-    vectors with max |c_i| <= coeff_bound, relative to the represented values.
+    vectors with max |c_i| <= the query's coeff_bound, relative to the
+    represented values.
     """
 
     relation: IntegerRelation | None
-    coeff_bound: int
-    precision: int
     residual_floor: Fraction
 
 
@@ -206,7 +205,7 @@ def search_relations(query: RelationQuery) -> RelationSearchReport:
             break
 
     floor = _exclusion_floor(reduced, n, query.coeff_bound, scale_factor)
-    return RelationSearchReport(best, query.coeff_bound, query.precision, floor)
+    return RelationSearchReport(best, floor)
 
 
 def _exclusion_floor(reduced, n: int, bound: int, scale_factor: int) -> Fraction:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 
 from .arith import BudgetExceeded, exponent_images, exponent_range, int_nth_root
-from .sets import ExponentSet, set_enumerate
+from .sets import ExponentSet
 
 # Guard digits appended beyond the requested precision; keeps carry
 # uncertainty away from the digits a caller asked for at desk scale.
@@ -127,10 +127,6 @@ class SeriesSpec:
     def exponent(self, n: int) -> int:
         return self.i * n**self.j
 
-    def to_json(self) -> dict:
-        return {"i": self.i, "j": self.j, "set": self.set.to_json(),
-                "coeff": self.coeff.to_json()}
-
 
 @dataclass(frozen=True)
 class FixedPointValue:
@@ -159,10 +155,6 @@ class FixedPointValue:
     def from_int(cls, value: int, base: int, scale: int) -> "FixedPointValue":
         return cls(base, value * _unit(base, scale), scale)
 
-    @classmethod
-    def zero(cls, base: int, scale: int = 1) -> "FixedPointValue":
-        return cls(base, 0, scale)
-
     @property
     def is_exact(self) -> bool:
         return self.error_bound == 0
@@ -175,13 +167,6 @@ class FixedPointValue:
         if target_scale < self.scale:
             raise ValueError("cannot reduce scale without rounding")
         return self.mantissa * self.base ** (target_scale - self.scale)
-
-    def shift(self, k: int) -> "FixedPointValue":
-        """The value times base**k, represented exactly (k < scale)."""
-        if k >= self.scale:
-            raise ValueError("shift would consume the whole fractional scale")
-        return FixedPointValue(self.base, self.mantissa, self.scale - k,
-                               self.error_bound * self.base**k)
 
     def to_decimal(self, places: int = 30) -> str:
         """Decimal rendering, truncated toward zero."""
@@ -218,16 +203,13 @@ class LinearFormSpec:
             raise ValueError("base must be >= 2")
 
 
-def form(base: int, constant: int = 0, terms=()) -> LinearFormSpec:
-    return LinearFormSpec(base, constant, tuple((int(w), s) for w, s in terms))
-
-
 def eval_series(spec: SeriesSpec, b: int, digits: int) -> FixedPointValue:
     """Evaluate the series at 1/b to `digits` fractional base-b digits.
 
-    Every member with exponent i*n**j <= digits + GUARD_DIGITS contributes
-    exactly; the error bound covers all omitted terms. An explicit set whose
-    members were all included yields an exact value.
+    Every member with exponent i*n**j <= scale = digits + GUARD_DIGITS
+    contributes exactly. The omitted exponents are distinct and exceed
+    scale, so the error bound is the sum over m > scale of bound * b**-m,
+    or zero for an explicit set whose members past its cutoff were all summed.
 
     The members are summed as a balanced tree, the subquadratic integer
     input of Brent & Zimmermann, Modern Computer Arithmetic, section 1.7,
@@ -242,7 +224,7 @@ def eval_series(spec: SeriesSpec, b: int, digits: int) -> FixedPointValue:
         raise ValueError("digits must be >= 1")
     scale = digits + GUARD_DIGITS
     n_cap = int_nth_root(scale // spec.i, spec.j)[0] if spec.i <= scale else 0
-    members = set_enumerate(spec.set, n_cap) if n_cap >= 1 else []
+    members = spec.set.members_up_to(n_cap) if n_cap >= 1 else []
 
     # (sum of coeff(n) * b**(last - exponent(n)) over a run, last exponent
     # of the run), one per member to begin with, merged pairwise.
@@ -255,19 +237,10 @@ def eval_series(spec: SeriesSpec, b: int, digits: int) -> FixedPointValue:
     mantissa, last = runs[0] if runs else (0, scale)
     mantissa *= power(scale - last)
 
-    if spec.set.is_finite:
-        all_members = (spec.set.members_up_to(spec.set.members[-1])
-                       if spec.set.members else [])
-        error = Fraction(0) if len(members) == len(all_members) else _tail(spec.coeff.bound, b, scale)
-    else:
-        error = _tail(spec.coeff.bound, b, scale)
-    return FixedPointValue(b, mantissa, scale, error)
-
-
-def _tail(bound: int, b: int, scale: int) -> Fraction:
-    # All omitted exponents exceed `scale` and are distinct:
-    # sum over m > scale of bound * b**-m.
-    return Fraction(bound, (b - 1) * _unit(b, scale))
+    if spec.set.is_finite and members == spec.set.members_up_to(max(spec.set.members, default=1)):
+        return FixedPointValue(b, mantissa, scale)
+    tail = Fraction(spec.coeff.bound, (b - 1) * _unit(b, scale))
+    return FixedPointValue(b, mantissa, scale, tail)
 
 
 def eval_linear_form(form: LinearFormSpec, digits: int) -> FixedPointValue:

@@ -175,13 +175,10 @@ def _geometric_members(s: ExponentSet, limit: int) -> list[int]:
 
 
 def _pell_pairs(s: ExponentSet, limit: int) -> list[tuple[int, int]]:
-    # Solutions grow geometrically, so this list is logarithmic in limit.
-    pairs = []
-    for sol in pell_iter(s.D):
-        if sol.x > limit and s.scale * sol.y > limit:
-            break
-        pairs.append((sol.x, sol.y))
-    return pairs
+    # A member <= limit has y <= limit (y < x), so the Pell work grows with
+    # limit, not with the period of sqrt(D); solutions grow geometrically,
+    # so this list is logarithmic in limit.
+    return [(sol.x, sol.y) for sol in pell_iter(s.D, limit)]
 
 
 KINDS = {

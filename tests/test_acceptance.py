@@ -23,11 +23,11 @@ from lacunary.series import (
     CoeffFn,
     FixedPointValue,
     GUARD_DIGITS,
+    LinearFormSpec,
     SeriesSpec,
     eval_linear_form,
     eval_series,
     exclusion_window_check,
-    form,
 )
 from lacunary.sets import (
     explicit,
@@ -96,7 +96,7 @@ def test_c3_forge_end_to_end():
     with criterion(3, "forge pipeline with clean exclusion windows", 60.0):
         family = [(i, j) for i in range(1, 5) for j in range(2, 5)]
         specs = [SeriesSpec(i, j, naturals(), CoeffFn.constant(1)) for i, j in family]
-        window_form = form(2, 0, [(1, s) for s in specs])
+        window_form = LinearFormSpec(2, 0, tuple((1, s) for s in specs))
         for window in (2, 3):
             cert = build_certificate(1, 2, window, family, d=1, h=1)
             assert cert.report.holds
@@ -157,7 +157,9 @@ def test_c6_counterexample_certificates():
         assert pell.kind == "pell"
         assert pell.residual <= pell.error_bound
         for cert in (scaled, pell):
-            v = eval_linear_form(cert.to_form(), cert.precision)
+            terms = tuple((w, SeriesSpec(i, j, s, CoeffFn.constant(1))) for w, (i, j), s in
+                          zip(cert.weights[1:], (cert.pair1, cert.pair2), (cert.set1, cert.set2)))
+            v = eval_linear_form(LinearFormSpec(cert.base, cert.weights[0], terms), cert.precision)
             assert abs(v.to_fraction()) <= v.error_bound
 
 
@@ -249,11 +251,13 @@ def test_c11_sparse_windows_at_scale():
     pairs = [(1, 2), (2, 3), (1, 2), (3, 2), (1, 4), (2, 3),
              (1, 2), (4, 3), (1, 2), (2, 5), (1, 2), (3, 4)]
     pool = [naturals(), primes(), squarefree(), pell_x(2), primes_in_ap(4, 3), pell_y(3, 2)]
-    f = form(2, 0, [((-1) ** t * (t % 3 + 1),
-                     SeriesSpec(i, j, pool[t % len(pool)], CoeffFn.alternating() if t % 4 == 3
-                                else CoeffFn.constant(1)))
-                    for t, (i, j) in enumerate(pairs)])
-    terms = [{"weight": w, **spec.to_json()} for w, spec in f.terms]
+    f = LinearFormSpec(2, 0, tuple(
+        ((-1) ** t * (t % 3 + 1),
+         SeriesSpec(i, j, pool[t % len(pool)], CoeffFn.alternating() if t % 4 == 3
+                    else CoeffFn.constant(1)))
+        for t, (i, j) in enumerate(pairs)))
+    terms = [{"weight": w, "i": spec.i, "j": spec.j, "set": spec.set.to_json(),
+              "coeff": spec.coeff.to_json()} for w, spec in f.terms]
     # 10**30 = (10**15)**2 = (10**10)**3 = (10**6)**5 sits mid-window.
     ranges = [(10**30 - 5 * 10**8, 10**30 + 5 * 10**8 - 1), (1, 10**8)]
     dio = {"i0": 1, "j0": 3, "i": 1, "j": 2, "u_max": 200, "x_max": 10**5}
@@ -309,3 +313,19 @@ def test_c12_decimal_eval_at_scale():
         m = brute_series_mantissa(10, 1, 2, members, lambda n: 1, depth)
         expected = brute_digit_string(m // 10**deeper % 10 ** (end - start), 10, end - start)
         assert got[start:end] == expected
+
+
+def test_c13_pell_work_grows_with_the_limit():
+    # pell_fundamental(10**11 + 3) alone takes minutes. A member up to the
+    # summation cap has y at most the cap, so the continued fraction stops
+    # once its denominators pass it.
+    pell = {"pair1": [1, 2], "pair2": [100000000003, 2], "base": 2, "precision": 60}
+    dense = {"base": 10, "digits": 50,
+             "terms": [{"i": 1, "j": 2, "set": {"kind": "pell_y", "D": 1000000000007}}]}
+    with criterion(13, "Pell certificate and eval at D above 10^11", 5.0):
+        cert, cert_code = run_job("counterexample", pell)
+        value, value_code = run_job("eval", dense)
+    assert (cert_code, value_code) == (EXIT_OK, EXIT_OK)
+    assert cert["result"]["kind"] == "pell" and cert["result"]["verified"]
+    assert cert["result"]["residual"] == "0"
+    assert value["result"]["value_digits"] == "0" * 50

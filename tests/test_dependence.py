@@ -16,7 +16,7 @@ from lacunary.dependence import (
     pell_fundamental,
     square_exponent_pairs,
 )
-from lacunary.series import eval_linear_form
+from lacunary.series import CoeffFn, LinearFormSpec, SeriesSpec, eval_linear_form
 
 from oracles import brute_collision, brute_equation_solutions, brute_pell_fundamental
 
@@ -129,6 +129,18 @@ def test_pell_stream_examples():
     assert xs == sorted(set(xs))  # strictly increasing
 
 
+def test_pell_walk_bounded_by_y_max():
+    # D = 61 has the fundamental solution (1766319049, 226153980).
+    assert pell_fundamental(61, 226153979) is None
+    assert pell_fundamental(61, 226153980).x == 1766319049
+    for D in (2, 3, 5, 13, 29, 61):
+        stream = list(islice(pell_iter(D), 4))
+        for y_max in sorted({1} | {s.y + d for s in stream for d in (-1, 0)}):
+            assert list(pell_iter(D, y_max)) == [s for s in stream if s.y <= y_max]
+    # A large D whose continued fraction would take minutes stops at once.
+    assert list(pell_iter(10**11 + 3, 10**6)) == []
+
+
 def test_counterexample_scaled_sets():
     cert = build_counterexample((1, 2), (4, 2), 2)
     assert cert.kind == "scaled_sets"
@@ -149,7 +161,9 @@ def test_counterexample_pell():
     assert cert.verified
     assert cert.residual <= cert.error_bound
     # re-verify through the generic evaluator at a different precision
-    v = eval_linear_form(cert.to_form(), 120)
+    terms = tuple((w, SeriesSpec(i, j, s, CoeffFn.constant(1))) for w, (i, j), s in
+                  zip(cert.weights[1:], (cert.pair1, cert.pair2), (cert.set1, cert.set2)))
+    v = eval_linear_form(LinearFormSpec(cert.base, cert.weights[0], terms), 120)
     assert abs(v.to_fraction()) <= v.error_bound
 
 

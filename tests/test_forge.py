@@ -92,7 +92,7 @@ def test_build_congruence_system_example():
     assert sys_.modulus == 225 and sys_.solution == 2
     assert [(l, w.p, w.x) for l, w in sys_.witnesses] == [(1, 3, 2), (3, 5, 2)]
     # CRT oracle: the solution satisfies every congruence
-    for r, m in sys_.congruences():
+    for r, m in [(sys_.h, sys_.d)] + [(w.x, w.p * w.p) for _, w in sys_.witnesses]:
         assert (sys_.solution - r) % m == 0
     assert math.gcd(sys_.modulus, sys_.solution) == 1
     assert sys_.modulus == sys_.d * math.prod(w.p**2 for _, w in sys_.witnesses)
@@ -166,13 +166,14 @@ def test_verify_exclusions_empty_window():
 
 def test_forged_window_matches_gap_scan():
     # around the forged center the combined coefficient sequence is zero
-    from lacunary.series import CoeffFn, SeriesSpec, exclusion_window_check, form, gap_scan
+    from lacunary.series import (CoeffFn, LinearFormSpec, SeriesSpec, exclusion_window_check,
+                                 gap_scan)
     from lacunary.sets import naturals
 
     family = [(1, 2), (2, 2), (1, 3), (2, 3)]
     cert = build_certificate(1, 2, 2, family)
-    f = form(2, 0, [(1, SeriesSpec(i, j, naturals(), CoeffFn.constant(1)))
-                    for i, j in family])
+    f = LinearFormSpec(2, 0, tuple((1, SeriesSpec(i, j, naturals(), CoeffFn.constant(1)))
+                                   for i, j in family))
     center = cert.report.center
     assert exclusion_window_check(f, center, cert.system.window)
     runs = gap_scan(f, center - 1, center + 1)

@@ -102,7 +102,6 @@ def test_no_relation_reported_with_exclusion_floor():
     report = search_relations(RelationQuery((one, alpha), 50, 100))
     assert report.relation is None
     assert report.residual_floor > 0
-    assert report.coeff_bound == 50 and report.precision == 100
 
 
 def test_scaling_invariance():
@@ -114,7 +113,8 @@ def test_scaling_invariance():
     planted = FixedPointValue(base, 7 * base**scale - 3 * v1.mantissa, scale)
     values = (one, v1, planted)
     rel = find_relation(RelationQuery(values, 100, precision))
-    shifted = tuple(v.shift(30) for v in values)
+    # The same mantissas 30 places coarser: every value times base**30.
+    shifted = tuple(FixedPointValue(base, v.mantissa, scale - 30) for v in values)
     rel2 = find_relation(RelationQuery(shifted, 100, precision))
     assert rel is not None and rel2 is not None
     assert rel.coefficients == rel2.coefficients

@@ -14,6 +14,7 @@ from lacunary.series import (
     CoeffFn,
     FixedPointValue,
     GUARD_DIGITS,
+    LinearFormSpec,
     MAX_DIGITS,
     SeriesSpec,
     _base_digits,
@@ -21,7 +22,6 @@ from lacunary.series import (
     eval_linear_form,
     eval_series,
     exclusion_window_check,
-    form,
     fraction_sci,
     gap_scan,
     parse_digits,
@@ -118,16 +118,17 @@ def test_series_spec_validation():
 
 
 def test_coefficient_at_examples():
-    f = form(2, 0, [(1, alpha_spec())])
+    f = LinearFormSpec(2, 0, ((1, alpha_spec()),))
     assert coefficient_at(f, 9) == 1
     assert coefficient_at(f, 10) == 0
-    mixed = form(2, 0, [(2, alpha_spec()), (3, SeriesSpec(2, 2, naturals(), CoeffFn.constant(1)))])
+    mixed = LinearFormSpec(2, 0, ((2, alpha_spec()),
+                                  (3, SeriesSpec(2, 2, naturals(), CoeffFn.constant(1)))))
     assert 8 == 2 * 2**2 and math.isqrt(8) ** 2 != 8
     assert coefficient_at(mixed, 8) == 3
 
 
 def test_coefficient_nonzero_only_at_exponent_images():
-    f = form(2, 0, [(1, SeriesSpec(2, 3, squarefree(), CoeffFn.alternating()))])
+    f = LinearFormSpec(2, 0, ((1, SeriesSpec(2, 3, squarefree(), CoeffFn.alternating())),))
     for n in range(1, 300):
         expect = 0
         k = round((n / 2) ** (1 / 3))
@@ -138,7 +139,7 @@ def test_coefficient_nonzero_only_at_exponent_images():
 
 
 def test_gap_scan_runs_against_zero_run_oracle():
-    f = form(2, 0, [(1, alpha_spec())])
+    f = LinearFormSpec(2, 0, ((1, alpha_spec()),))
     nonzero = {n * n for n in range(1, 5)}
     runs, start = [], None
     for n in range(1, 17):
@@ -154,29 +155,30 @@ def test_gap_scan_runs_against_zero_run_oracle():
 
 
 def test_gap_scan_prime_squares():
-    f = form(2, 0, [(1, SeriesSpec(1, 2, primes(), CoeffFn.constant(1)))])
+    f = LinearFormSpec(2, 0, ((1, SeriesSpec(1, 2, primes(), CoeffFn.constant(1))),))
     # only 4 = 2**2 is a prime square within [1, 8]
     assert gap_scan(f, 1, 8) == [(1, 3), (5, 4)]
 
 
 def test_gap_scan_whole_range_zero():
-    f = form(2, 0, [(0, alpha_spec())])
+    f = LinearFormSpec(2, 0, ((0, alpha_spec()),))
     assert gap_scan(f, 5, 9) == [(5, 5)]
-    assert gap_scan(form(2, 0, []), 1, 4) == [(1, 4)]
+    assert gap_scan(LinearFormSpec(2, 0, ()), 1, 4) == [(1, 4)]
 
 
 def test_exclusion_window_examples():
-    f = form(2, 0, [(1, alpha_spec())])
+    f = LinearFormSpec(2, 0, ((1, alpha_spec()),))
     for n in (51527, 51528, 51530, 51531):
         assert math.isqrt(n) ** 2 != n
     assert exclusion_window_check(f, 51529, 3) is True
     assert exclusion_window_check(f, 10, 2) is False  # 9 = 3**2 is adjacent
     assert exclusion_window_check(f, 10, 1) is True   # empty window
-    assert exclusion_window_check(form(2, 0, []), 100, 1) is True
+    assert exclusion_window_check(LinearFormSpec(2, 0, ()), 100, 1) is True
 
 
 def test_gap_scan_agrees_with_window_check():
-    f = form(2, 0, [(1, alpha_spec()), (1, SeriesSpec(3, 2, naturals(), CoeffFn.constant(1)))])
+    f = LinearFormSpec(2, 0, ((1, alpha_spec()),
+                              (1, SeriesSpec(3, 2, naturals(), CoeffFn.constant(1)))))
     runs = gap_scan(f, 2, 120)
     zero_positions = set()
     for s, length in runs:
@@ -191,18 +193,18 @@ def test_gap_scan_agrees_with_window_check():
 
 
 def test_eval_linear_form_cancellation_and_constants():
-    f = form(2, 0, [(1, alpha_spec()), (-1, alpha_spec())])
+    f = LinearFormSpec(2, 0, ((1, alpha_spec()), (-1, alpha_spec())))
     v = eval_linear_form(f, 50)
     assert v.mantissa == 0
     assert v.error_bound <= 2 * Fraction(1, 2 ** (50 + GUARD_DIGITS))
-    g = form(2, 1, [(0, alpha_spec())])
+    g = LinearFormSpec(2, 1, ((0, alpha_spec()),))
     w = eval_linear_form(g, 30)
     assert w.to_fraction() == 1 and w.is_exact
 
 
 def test_eval_linear_form_digits_cap():
     # Refused before any summing, so the constant's b**digits is never built.
-    f = form(10, 1, [(1, alpha_spec())])
+    f = LinearFormSpec(10, 1, ((1, alpha_spec()),))
     with pytest.raises(BudgetExceeded, match=f"digits = {MAX_DIGITS + 1} is above the cap"):
         eval_linear_form(f, MAX_DIGITS + 1)
 
@@ -256,7 +258,7 @@ def test_render_digits_examples():
     assert r.uncertain == ()
     g = eval_series(SeriesSpec(1, 2, primes(), CoeffFn.constant(1)), 2, 40)
     assert render_digits(g, 10).digits == "0001000010"
-    z = FixedPointValue.zero(2, 12)
+    z = FixedPointValue(2, 0, 12)
     assert render_digits(z, 12).digits == "0" * 12
     with pytest.raises(ValueError):
         render_digits(z, 13)
@@ -341,9 +343,8 @@ def test_fixed_point_helpers():
     assert v.scaled_mantissa(14) == 3 << 12
     with pytest.raises(ValueError):
         v.scaled_mantissa(10)
-    s = v.shift(2)
-    assert s.to_fraction() == 3
-    assert s.error_bound == Fraction(4, 2**12)
+    # The same mantissa two places coarser is the value times 2**2.
+    assert FixedPointValue(2, v.mantissa, 10).to_fraction() == 3
     assert FixedPointValue.from_int(5, 10, 4).to_decimal(2) == "5.00"
     assert fraction_sci(Fraction(0)) == "0"
     assert fraction_sci(Fraction(1, 2**10)) == "9.76e-4"

@@ -1,9 +1,9 @@
 """The sparse window engine against per-position oracles.
 
-`exponent_images` visits only the k whose images i * k**j fall in a window;
-`gap_scan`, `exclusion_window_check`, `verify_exclusions` and
-`enumerate_equation_solutions` are views over it. Each is compared with the
-position-by-position loop it replaced.
+`exponent_images` visits only the k whose images i * k**j fall in a window,
+and `exponent_range` bounds those k; `gap_scan`, `exclusion_window_check`,
+`verify_exclusions` and `enumerate_equation_solutions` are views over them.
+Each is compared with the position-by-position loop it replaced.
 """
 
 import pytest
@@ -15,9 +15,9 @@ from lacunary.dependence import enumerate_equation_solutions
 from lacunary.forge import verify_exclusions
 from lacunary.series import (
     CoeffFn,
+    LinearFormSpec,
     SeriesSpec,
     exclusion_window_check,
-    form,
     gap_scan,
 )
 from lacunary.sets import (
@@ -81,7 +81,7 @@ def forms(draw):
     if draw(st.booleans()):
         terms += draw(cancelling_terms())
     order = draw(st.permutations(range(len(terms))))
-    return form(2, 0, [terms[t] for t in order])
+    return LinearFormSpec(2, 0, tuple(terms[t] for t in order))
 
 
 @st.composite
@@ -110,7 +110,7 @@ def _outcome(fn, *args):
 @settings(max_examples=300, deadline=None)
 def test_exponent_images_match_position_scan(data):
     spec = data.draw(series_specs())
-    lo, hi = data.draw(windows(form(2, 0, [(1, spec)])))
+    lo, hi = data.draw(windows(LinearFormSpec(2, 0, ((1, spec),))))
     hi = data.draw(st.sampled_from((hi, lo, lo - 1)))  # also lo == hi and hi < lo
     expected = []
     for n in range(lo, hi + 1):
@@ -153,8 +153,8 @@ def test_exclusion_window_check_matches_brute(data):
 
 
 def test_cancelling_form_leaves_only_composite_squares():
-    f = form(2, 0, [(1, SeriesSpec(1, 2, naturals(), CoeffFn.constant(1))),
-                    (-1, SeriesSpec(1, 2, primes(), CoeffFn.constant(1)))])
+    f = LinearFormSpec(2, 0, ((1, SeriesSpec(1, 2, naturals(), CoeffFn.constant(1))),
+                              (-1, SeriesSpec(1, 2, primes(), CoeffFn.constant(1)))))
     runs = gap_scan(f, 1, 100)
     assert runs == brute_gap_runs(f, 1, 100)
     zero = {n for s, length in runs for n in range(s, s + length)}
@@ -166,8 +166,8 @@ def test_cancelling_form_leaves_only_composite_squares():
 def test_missing_table_entry_raises_on_the_same_member():
     # Member 3 of the second term sits at position 2 * 3**2 = 18, before the
     # first term's member 5 at position 25; both lack a table entry.
-    f = form(2, 0, [(1, SeriesSpec(1, 2, explicit([2, 5]), CoeffFn.from_table({2: 1}))),
-                    (1, SeriesSpec(2, 2, explicit([3]), CoeffFn.from_table({1: 1})))])
+    f = LinearFormSpec(2, 0, ((1, SeriesSpec(1, 2, explicit([2, 5]), CoeffFn.from_table({2: 1}))),
+                              (1, SeriesSpec(2, 2, explicit([3]), CoeffFn.from_table({1: 1})))))
     with pytest.raises(ValueError, match="member 3"):
         gap_scan(f, 1, 30)
     assert _outcome(gap_scan, f, 1, 30) == _outcome(brute_gap_runs, f, 1, 30)
