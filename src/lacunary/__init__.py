@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .arith import (
     BudgetExceeded,
     Factorization,
-    InconsistentSystem,
     PellSolution,
     SquareD,
     crt_solve,
@@ -37,13 +36,10 @@ from .dependence import (
     square_exponent_pairs,
 )
 from .forge import (
-    BudgetExhausted,
     CongruenceSystem,
     ExclusionReport,
     ForgeCertificate,
     PrimeWitness,
-    SearchExhausted,
-    SingularDerivative,
     build_certificate,
     build_congruence_system,
     find_prime,

@@ -44,10 +44,6 @@ class BudgetExceeded(Exception):
     """A step or attempt budget ran out: here in factoring, elsewhere in a search."""
 
 
-class InconsistentSystem(Exception):
-    """Two congruences disagree on a shared factor of their moduli."""
-
-
 class SquareD(ValueError):
     """The Pell parameter D is a perfect square, so x**2 - D*y**2 = 1 is trivial."""
 
@@ -308,7 +304,7 @@ def crt_solve(congruences: list[tuple[int, int]]) -> tuple[int, int]:
     """Solve x = r_i (mod m_i) simultaneously; moduli need not be coprime.
 
     Returns (x, alpha) with 0 <= x < alpha and alpha = lcm of the moduli;
-    every integer solution is x + alpha*Z. Raises InconsistentSystem when two
+    every integer solution is x + alpha*Z. Raises ValueError when two
     congruences conflict on a shared factor.
     """
     if not congruences:
@@ -319,7 +315,7 @@ def crt_solve(congruences: list[tuple[int, int]]) -> tuple[int, int]:
             raise ValueError("moduli must be >= 1")
         g = math.gcd(m, mod)
         if (r - x) % g:
-            raise InconsistentSystem(
+            raise ValueError(
                 f"x = {x} (mod {m}) conflicts with x = {r} (mod {mod})"
             )
         lcm = m // g * mod

@@ -431,6 +431,27 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load(path: str):
+    """The JSON document at path. A ValueError names path when the file cannot be
+    read or decoded (bad UTF-8, an integer past the int/str digit limit, nesting
+    too deep for the parser) or is not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: str, payload: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -438,41 +459,29 @@ def main(argv=None) -> int:
         return exc.code
 
     try:
-        with open(args.spec, encoding="utf-8") as fh:
-            spec = json.load(fh)
-    except OSError as exc:
-        print(f"spec error: cannot read {args.spec}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"spec error: {args.spec} is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if not isinstance(spec, dict):
-        print("spec error: top level must be a JSON object", file=sys.stderr)
-        return EXIT_INPUT
-
-    for _, field in _OVERRIDES:
-        if getattr(args, field, None) is not None:
-            spec[field] = getattr(args, field)
-
-    try:
+        spec = _load(args.spec)
+        if not isinstance(spec, dict):
+            raise ValueError("top level must be a JSON object")
+        for _, field in _OVERRIDES:
+            if getattr(args, field, None) is not None:
+                spec[field] = getattr(args, field)
         report, code = run_job(args.command, spec)
-    except SpecError as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        try:
+            payload = (json.dumps(report, indent=2, sort_keys=True) + "\n"
+                       if args.format == "json" else _render_text(report))
+        except ValueError as exc:  # str() of an integer past the int/str digit limit
+            raise ValueError(f"the report holds an integer over the int/str digit limit "
+                             f"({sys.get_int_max_str_digits()} digits)") from exc
+        if args.out:
+            _write(args.out, payload)
+        else:
+            sys.stdout.write(payload)
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
+    except (SpecError, ValueError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-    payload = (json.dumps(report, indent=2, sort_keys=True) + "\n"
-               if args.format == "json" else _render_text(report))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
     return code
 
 

@@ -16,18 +16,9 @@ from .arith import (BudgetExceeded, crt_solve, exponent_range, factor, is_prime,
 
 DEFAULT_SCAN_LIMIT = 200_000
 DEFAULT_PRIME_BUDGET = 100_000
-
-
-class SingularDerivative(Exception):
-    """The lifting step hit k*u*x**(k-1) = 0 (mod p): v = 0 or p too small."""
-
-
-class SearchExhausted(BudgetExceeded):
-    """A witness scan ran out of budget before finding what it needed."""
-
-
-class BudgetExhausted(BudgetExceeded):
-    """The prime search in the arithmetic progression hit its attempt cap."""
+# Largest window radius N build_congruence_system takes; past it, BudgetExceeded.
+# The witness search, the CRT modulus and the prime search all grow with N.
+MAX_WINDOW = 80
 
 
 @dataclass(frozen=True)
@@ -72,7 +63,7 @@ def hensel_step(k: int, u: int, v: int, p: int, x: int) -> int:
         raise ValueError(f"{x} is not a root of u*X^{k}+({v}) modulo {p}")
     g_prime = k * u * pow(x, k - 1, p) % p
     if v == 0 or g_prime == 0:
-        raise SingularDerivative(f"derivative vanishes mod {p} (v={v})")
+        raise ValueError(f"derivative vanishes mod {p} (v={v})")
     y = (1 - g_x // p) * pow(g_prime, -1, p) % p
     return p * y + x
 
@@ -83,7 +74,7 @@ def find_witnesses(k: int, u: int, v: int, count: int, p_min: int = 2,
 
     Scans m = 1, 2, ... factoring u*m**k + v and harvesting new eligible prime
     divisors in increasing order, then lifts each root; reproducible by
-    construction. Raises SearchExhausted when the scan budget runs out.
+    construction. Raises BudgetExceeded when the scan budget runs out.
     """
     if k < 2 or u < 1 or count < 1:
         raise ValueError("need k >= 2, u >= 1, count >= 1")
@@ -104,7 +95,7 @@ def find_witnesses(k: int, u: int, v: int, count: int, p_min: int = 2,
             used.add(p)
             if len(out) == count:
                 return out
-    raise SearchExhausted(
+    raise BudgetExceeded(
         f"{count} witnesses for ({k}, {u}, {v}) not found scanning m <= {scan_limit}"
     )
 
@@ -144,7 +135,8 @@ def build_congruence_system(i0: int, j0: int, window: int, d: int = 1, h: int = 
 
     Witness primes are pairwise distinct, coprime to d, and exceed the window
     radius, which is what makes the combined modulus and solution coprime.
-    window == 1 degenerates to the base congruence alone.
+    window == 1 degenerates to the base congruence alone. Raises
+    BudgetExceeded, before any search, when window is above MAX_WINDOW.
     """
     if i0 < 1 or j0 < 2:
         raise ValueError("need i0 >= 1 and j0 >= 2")
@@ -152,6 +144,8 @@ def build_congruence_system(i0: int, j0: int, window: int, d: int = 1, h: int = 
         raise ValueError("window must be >= 1")
     if d < 1 or h < 1 or math.gcd(d, h) != 1:
         raise ValueError("need positive d, h with gcd(d, h) = 1")
+    if window > MAX_WINDOW:
+        raise BudgetExceeded(f"N = {window} is above the cap of {MAX_WINDOW}")
 
     floor = max(p_min, window)
     used = {p for p, _ in factor(d).factors}
@@ -188,7 +182,7 @@ def find_prime(system: CongruenceSystem, attempt_budget: int = DEFAULT_PRIME_BUD
             continue
         if q >= 2 and is_prime(q):
             return q
-    raise BudgetExhausted(
+    raise BudgetExceeded(
         f"no prime q = {alpha}*n + {x} within {attempt_budget} attempts from n0={n0_start}"
     )
 
@@ -288,6 +282,6 @@ def build_certificate(i0: int, j0: int, window: int, family, d: int = 1, h: int 
         if report.holds:
             return ForgeCertificate(system, q, report, attempt)
         n0_start = (q - system.solution) // system.modulus + 1
-    raise SearchExhausted(
+    raise BudgetExceeded(
         f"no prime with a clear window found in {max_retries} attempts"
     )

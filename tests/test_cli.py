@@ -515,6 +515,65 @@ def test_malformed_specs(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+# Failures outside run_job must exit 2 with one stderr line: a traceback
+# exits 1, which reads as a verdict. Each case builds (arguments, the text its
+# stderr line must hold) in a directory; integers are sized from the int/str
+# digit limit.
+def _unreadable_spec(tmp):
+    spec = tmp / "latin1.json"
+    spec.write_bytes(b'{"base": 2, "digits": 5, "note": "\xff"}')
+    return ["eval", "--spec", str(spec)], str(spec)
+
+
+def _deep_spec(tmp):
+    spec = tmp / "deep.json"
+    spec.write_text("[" * 10**5 + "]" * 10**5)
+    return ["eval", "--spec", str(spec)], str(spec)
+
+
+def _long_integer_spec(tmp):
+    spec = tmp / "long.json"
+    spec.write_text('{"base": 2, "digits": ' + "9" * (sys.get_int_max_str_digits() + 1) + "}")
+    return ["eval", "--spec", str(spec)], str(spec)
+
+
+def _out_is_a_directory(tmp):
+    return ["eval", "--spec", write_spec(tmp, {"base": 2, "digits": 5}), "--out", str(tmp)], str(tmp)
+
+
+def _out_in_a_missing_directory(tmp):
+    out = str(tmp / "missing" / "report.json")
+    return ["eval", "--spec", write_spec(tmp, {"base": 2, "digits": 5}), "--out", out], out
+
+
+def _report_past_the_digit_limit(tmp):
+    # center = i0 * q**2 has one digit more than the limit allows i0
+    i0 = "9" * sys.get_int_max_str_digits()
+    spec = tmp / "forge.json"
+    spec.write_text('{"i0": ' + i0 + ', "j0": 2, "N": 1}')
+    return (["forge", "--spec", str(spec)],
+            "the report holds an integer over the int/str digit limit")
+
+
+UNREADABLE = [_unreadable_spec, _deep_spec, _long_integer_spec, _out_is_a_directory,
+              _out_in_a_missing_directory, _report_past_the_digit_limit]
+
+
+def _assert_one_input_error_line(code, out, err, names):
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("spec error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert names in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", UNREADABLE, ids=[c.__name__[1:] for c in UNREADABLE])
+def test_unreadable_input_and_unwritable_report_exit_2(tmp_path, capsys, case):
+    args, names = case(tmp_path)
+    _assert_one_input_error_line(*run_cli(args, capsys), names)
+    proc = subprocess.run([sys.executable, "-m", "lacunary.cli", *args],
+                          capture_output=True, text=True)
+    _assert_one_input_error_line(proc.returncode, proc.stdout, proc.stderr, names)
+
+
 def test_forge_report_is_independently_reverifiable(tmp_path, capsys):
     spec = write_spec(tmp_path, {"i0": 1, "j0": 2, "N": 2, "d": 1, "h": 1})
     code, out, _ = run_cli(["forge", "--spec", spec], capsys)
