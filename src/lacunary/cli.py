@@ -37,6 +37,28 @@ class SpecError(Exception):
         super().__init__(f"field '{field}': {message}")
 
 
+class _LongLiteral:
+    """An integer literal longer than the int/str digit limit, kept by its
+    length so that the field holding it can be named when it is read."""
+
+    def __init__(self, text: str):
+        self.digits = len(text.lstrip("-"))
+
+    def __repr__(self) -> str:
+        return f"<integer literal of {self.digits} digits>"
+
+    def error(self, name: str) -> SpecError:
+        return SpecError(name, f"integer literal of {self.digits} digits is over the "
+                               f"{sys.get_int_max_str_digits()}-digit limit")
+
+
+def _parse_int(text: str):
+    try:
+        return int(text)
+    except ValueError:  # past the int/str digit limit
+        return _LongLiteral(text)
+
+
 def _get(spec: dict, field: str, kind, default=_MISSING, minimum=None, where: str = ""):
     """spec[field], checked; errors name the field as where + field."""
     name = where + field
@@ -52,6 +74,8 @@ def _get(spec: dict, field: str, kind, default=_MISSING, minimum=None, where: st
 
 def _typed(val, kind, name: str):
     """val if it is of JSON type kind (a boolean is no integer); else a SpecError naming name."""
+    if isinstance(val, _LongLiteral):
+        raise val.error(name)
     if kind is int and isinstance(val, bool):
         raise SpecError(name, "expected an integer, got a boolean")
     if not isinstance(val, kind):
@@ -60,6 +84,9 @@ def _typed(val, kind, name: str):
 
 
 def _pair(raw, field: str, message: str = "expected a pair [i, j] of integers") -> tuple[int, int]:
+    for x in raw if isinstance(raw, list) else ():
+        if isinstance(x, _LongLiteral):
+            raise x.error(field)
     if (not isinstance(raw, (list, tuple)) or len(raw) != 2
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in raw)):
         raise SpecError(field, message)
@@ -432,12 +459,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str):
-    """The JSON document at path. A ValueError names path when the file cannot be
-    read or decoded (bad UTF-8, an integer past the int/str digit limit, nesting
-    too deep for the parser) or is not JSON."""
+    """The JSON document at path, an integer literal past the int/str digit limit
+    read as a _LongLiteral. A ValueError names path when the file cannot be read
+    or decoded (bad UTF-8, nesting too deep for the parser) or is not JSON."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     except (OSError, ValueError, RecursionError) as exc:

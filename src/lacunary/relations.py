@@ -31,7 +31,18 @@ def lll_reduce(rows, delta: Fraction = LOVASZ_DELTA) -> list[list[int]]:
     d[j+1]*mu[k][j] are integers, every division is exact, and a row's data
     is computed when the scan first reaches it. Each branch matches
     exact-rational LLL with full size reduction, so the reduced basis is
-    identical to it. Rows must be linearly independent."""
+    identical to it. Rows must be linearly independent.
+
+    The Lovasz test divides once: swapped_d = (d[k-1]*d[k+1] + m*m) // d[k],
+    with m = lam[k][k-1], is the d[k] that a swap would give (a Gram
+    determinant, so the division is exact), and q*swapped_d >= p*d[k] is the
+    Lovasz condition B[k] >= (delta - mu[k][k-1]**2) * B[k-1] multiplied
+    out. A swap sets d[k] = swapped_d and updates each row i > k from its
+    old values with the one divisor d[k]:
+    lam[i][k] = (d[k+1]*lam[i][k-1] - m*lam[i][k]) // d[k] and
+    lam[i][k-1] = (d[k-1]*lam[i][k] + m*lam[i][k-1]) // d[k]. A size
+    reduction whose lam[k][j] is under d[j+1]/2 by bit length is skipped,
+    its rounded quotient being 0. None of this changes a branch."""
     p, q = delta.as_integer_ratio()
     if not q < 4 * p < 4 * q:
         raise ValueError("delta must lie in (1/4, 1)")
@@ -61,27 +72,34 @@ def lll_reduce(rows, delta: Fraction = LOVASZ_DELTA) -> list[list[int]]:
             gram_row(k)
         lk = lam[k]
         for j in range(k - 1, -1, -1):
-            r = (2 * lk[j] + d[j + 1]) // (2 * d[j + 1])
+            dj = d[j + 1]
+            if lk[j].bit_length() + 1 < dj.bit_length():
+                continue  # |lk[j]| < dj/2, so r = 0
+            r = (lk[j] + (dj >> 1)) // dj  # lk[j]/dj rounded half up
             if r:
                 basis[k] = [a - r * c for a, c in zip(basis[k], basis[j])]
+                lj = lam[j]
                 for l in range(j):
-                    lk[l] -= r * lam[j][l]
-                lk[j] -= r * d[j + 1]
-        m = lk[k - 1]
-        if q * d[k + 1] * d[k - 1] >= p * d[k] ** 2 - q * m * m:
+                    lk[l] -= r * lj[l]
+                lk[j] -= r * dj
+        m, dk = lk[k - 1], d[k]
+        swapped_d = (d[k - 1] * d[k + 1] + m * m) // dk
+        if q * swapped_d >= p * dk:
             k += 1
         else:
             basis[k - 1], basis[k] = basis[k], basis[k - 1]
-            for l in range(k - 1):
-                lam[k - 1][l], lk[l] = lk[l], lam[k - 1][l]
-            new_d = (d[k - 1] * d[k + 1] + m * m) // d[k]
+            # lam rows swap below column k-1 and lam[k][k-1] stays m; the
+            # slots on and above the diagonal hold nothing once gram_row is done
+            lam[k - 1], lam[k] = lk, lam[k - 1]
+            lam[k][k - 1] = m
+            below, above = d[k - 1], d[k + 1]
             for i in range(k + 1, top + 1):
                 li = lam[i]
-                t = li[k]
-                li[k] = (d[k + 1] * li[k - 1] - m * t) // d[k]
-                li[k - 1] = (new_d * t + m * li[k]) // d[k + 1]
-            d[k] = new_d
-            k = max(k - 1, 1)
+                s, t = li[k - 1], li[k]
+                li[k - 1] = (below * t + m * s) // dk
+                li[k] = (above * s - m * t) // dk
+            d[k] = swapped_d
+            k = k - 1 if k > 1 else 1
     return basis
 
 

@@ -86,10 +86,6 @@ class CoeffFn:
     def alternating(cls) -> "CoeffFn":
         return cls("alternating")
 
-    @classmethod
-    def from_table(cls, table: dict[int, int], bound: int | None = None) -> "CoeffFn":
-        return cls("table", table=table, bound=bound)
-
     def __call__(self, n: int) -> int:
         if self.kind == "const":
             return self.value
@@ -327,7 +323,9 @@ def exclusion_window_check(form: LinearFormSpec, center: int, radius: int) -> bo
     """True iff every position center +- u, u = 1..radius-1, carries a zero.
 
     radius == 1 is the empty window and holds vacuously. Positions are
-    examined nearest first, center - u before center + u.
+    examined nearest first, center - u before center + u. No CLI path calls
+    it; it stays to check a forged window through the linear form itself
+    (tests/test_acceptance.py::test_c3 and the README's library table).
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")

@@ -317,6 +317,66 @@ def brute_lll(rows, delta: Fraction = Fraction(99, 100)) -> list[list[int]]:
     return basis
 
 
+def ref_lll(rows, delta: Fraction = Fraction(99, 100)) -> list[list[int]]:
+    """Integral LLL as the package ran it before each swap divided by one
+    Gram determinant, kept as a reference: the Lovasz test multiplies out
+    d[k]**2 and a swap forms its products again, a row's new lam[i][k-1] is
+    divided by d[k+1] after its new lam[i][k], and every size-reduction
+    quotient is divided out. Same branches, same reduced basis; rows must be
+    linearly independent."""
+    p, q = delta.as_integer_ratio()
+    if not q < 4 * p < 4 * q:
+        raise ValueError("delta must lie in (1/4, 1)")
+    basis = [[int(x) for x in row] for row in rows]
+    n = len(basis)
+    if n <= 1:
+        return basis
+
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def gram_row(k: int) -> None:
+        for j in range(k + 1):
+            u = _dot(basis[k], basis[j])
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            lam[k][j] = u
+        d[k + 1] = lam[k][k]  # the diagonal slot is scratch
+        if d[k + 1] <= 0:
+            raise ValueError("basis rows are linearly dependent")
+
+    gram_row(0)
+    k, top = 1, 0
+    while k < n:
+        if k > top:
+            top = k
+            gram_row(k)
+        lk = lam[k]
+        for j in range(k - 1, -1, -1):
+            r = (2 * lk[j] + d[j + 1]) // (2 * d[j + 1])
+            if r:
+                basis[k] = [a - r * c for a, c in zip(basis[k], basis[j])]
+                for l in range(j):
+                    lk[l] -= r * lam[j][l]
+                lk[j] -= r * d[j + 1]
+        m = lk[k - 1]
+        if q * d[k + 1] * d[k - 1] >= p * d[k] ** 2 - q * m * m:
+            k += 1
+        else:
+            basis[k - 1], basis[k] = basis[k], basis[k - 1]
+            for l in range(k - 1):
+                lam[k - 1][l], lk[l] = lk[l], lam[k - 1][l]
+            new_d = (d[k - 1] * d[k + 1] + m * m) // d[k]
+            for i in range(k + 1, top + 1):
+                li = lam[i]
+                t = li[k]
+                li[k] = (d[k + 1] * li[k - 1] - m * t) // d[k]
+                li[k - 1] = (new_d * t + m * li[k]) // d[k + 1]
+            d[k] = new_d
+            k = max(k - 1, 1)
+    return basis
+
+
 # ---------------------------------------------------------------- reference
 # is_prime and factor as they stood before primality was sized to its input:
 # 18 trial divisions then all 12 Miller-Rabin bases (and 64 derandomized

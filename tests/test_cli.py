@@ -534,7 +534,14 @@ def _deep_spec(tmp):
 def _long_integer_spec(tmp):
     spec = tmp / "long.json"
     spec.write_text('{"base": 2, "digits": ' + "9" * (sys.get_int_max_str_digits() + 1) + "}")
-    return ["eval", "--spec", str(spec)], str(spec)
+    return ["eval", "--spec", str(spec)], "field 'digits': integer literal of"
+
+
+def _long_integer_in_a_pair(tmp):
+    spec = tmp / "long.json"
+    long = "9" * (sys.get_int_max_str_digits() + 1)
+    spec.write_text('{"family": [[1, 2], [3, -' + long + "]]}")
+    return ["check", "--spec", str(spec)], "field 'family[1]': integer literal of"
 
 
 def _out_is_a_directory(tmp):
@@ -555,8 +562,8 @@ def _report_past_the_digit_limit(tmp):
             "the report holds an integer over the int/str digit limit")
 
 
-UNREADABLE = [_unreadable_spec, _deep_spec, _long_integer_spec, _out_is_a_directory,
-              _out_in_a_missing_directory, _report_past_the_digit_limit]
+UNREADABLE = [_unreadable_spec, _deep_spec, _long_integer_spec, _long_integer_in_a_pair,
+              _out_is_a_directory, _out_in_a_missing_directory, _report_past_the_digit_limit]
 
 
 def _assert_one_input_error_line(code, out, err, names):

@@ -8,7 +8,9 @@ check. A report that changes is a change of output, not of layout: update
 the saved file only on purpose.
 
 tests/golden/errors.json pins the other side: error and edge specs, each
-with its subcommand, extra arguments, exit code and exact stderr.
+with its subcommand, extra arguments, exit code and exact stderr. A case
+whose spec JSON cannot hold (an integer literal past the int/str digit
+limit) gives the spec file's text as "spec_text" instead.
 """
 
 import json
@@ -52,7 +54,7 @@ def test_corpus_covers_every_command_and_kind():
 @pytest.mark.parametrize("case", ERRORS, ids=[c["name"] for c in ERRORS])
 def test_error_matches_saved_stderr(case, tmp_path, capsys):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(case["spec"]), encoding="utf-8")
+    spec.write_text(case.get("spec_text") or json.dumps(case["spec"]), encoding="utf-8")
     code = main([case["command"], "--spec", str(spec), *case.get("args", [])])
     assert (code, capsys.readouterr().err) == (case["exit"], case["stderr"])
 

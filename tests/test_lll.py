@@ -1,5 +1,6 @@
-"""Integral LLL against the exact-Fraction oracle: the reduced bases must be
-identical, not just equivalent, and dependent rows must raise alike."""
+"""Integral LLL against the exact-Fraction oracle, and at hunt scale against
+the reference integral LLL: the reduced bases must be identical, not just
+equivalent, and dependent rows must raise alike."""
 
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from lacunary.relations import lll_reduce
 from lacunary.series import CoeffFn, SeriesSpec, eval_series
 from lacunary.sets import naturals, primes
-from oracles import brute_lll
+from oracles import brute_lll, ref_lll
 
 ENTRY = 10**6
 # small entries make ties in the rounding and equality in the Lovasz test common
@@ -46,6 +47,32 @@ def _bases(draw):
 @given(_bases(), st.sampled_from(DELTAS))
 def test_integral_lll_matches_the_fraction_oracle(rows, delta):
     assert _outcome(lll_reduce, rows, delta) == _outcome(brute_lll, rows, delta)
+
+
+@st.composite
+def _hunt_lattices(draw):
+    """An identity block plus one column of 100-2000-bit entries, as a hunt
+    builds it; half plant a small relation in the last entry, and some
+    replace a row by a combination of two others, which must raise."""
+    n = draw(st.integers(2, 9))
+    bits = draw(st.integers(100, 2000))
+    column = [draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) for _ in range(n)]
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-9, 9), min_size=n - 1, max_size=n - 1)
+                      .filter(any))
+        column[-1] = sum(c * v for c, v in zip(coeffs, column))
+    rows = [[int(t == k) for t in range(n)] + [column[k]] for k in range(n)]
+    if n >= 3 and draw(st.integers(0, 7)) == 0:
+        target, a, b = draw(st.permutations(range(n)))[:3]
+        ca, cb = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[target] = [ca * x + cb * y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+@settings(max_examples=25, deadline=None)
+@given(_hunt_lattices(), st.sampled_from(DELTAS))
+def test_hunt_scale_lattices_reduce_like_the_reference(rows, delta):
+    assert _outcome(lll_reduce, rows, delta) == _outcome(ref_lll, rows, delta)
 
 
 def _series_rows(n: int, precision: int, planted: bool = False) -> list[list[int]]:

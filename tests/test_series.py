@@ -96,16 +96,16 @@ def test_explicit_set_fully_included_is_exact():
 
 
 def test_coefficient_table_and_validation():
-    spec = SeriesSpec(1, 2, explicit([2, 3]), CoeffFn.from_table({2: 5, 3: -4}))
+    spec = SeriesSpec(1, 2, explicit([2, 3]), CoeffFn("table", table={2: 5, 3: -4}))
     v = eval_series(spec, 2, 20)
     assert v.to_fraction() == Fraction(5, 2**4) + Fraction(-4, 2**9)
     with pytest.raises(ValueError):
         CoeffFn.constant(0)
     with pytest.raises(ValueError):
-        CoeffFn.from_table({2: 0})
+        CoeffFn("table", table={2: 0})
     with pytest.raises(ValueError):
-        CoeffFn.from_table({2: 9}, bound=3)
-    bad = SeriesSpec(1, 2, explicit([2, 3]), CoeffFn.from_table({2: 5}))
+        CoeffFn("table", table={2: 9}, bound=3)
+    bad = SeriesSpec(1, 2, explicit([2, 3]), CoeffFn("table", table={2: 5}))
     with pytest.raises(ValueError):
         eval_series(bad, 2, 20)
 
@@ -439,7 +439,7 @@ def series_cases(draw):
     if kind == "explicit":  # finite: exact when every member is included
         members = draw(st.lists(st.integers(1, 25), max_size=6, unique=True))
         index_set = explicit(sorted(members))
-        coeff = (CoeffFn.from_table({n: draw(st.sampled_from((-7, -1, 1, 4))) for n in members})
+        coeff = (CoeffFn("table", table={n: draw(st.sampled_from((-7, -1, 1, 4))) for n in members})
                  if members else CoeffFn.constant(1))
     else:
         index_set = _ORACLE_SETS[kind]

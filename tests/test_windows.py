@@ -58,7 +58,7 @@ def series_specs(draw):
     if kind == "explicit":
         members = sorted(draw(st.lists(st.integers(1, 60), min_size=1, max_size=8, unique=True)))
         table = {n: draw(st.sampled_from((-7, -2, -1, 1, 3))) for n in members}
-        return SeriesSpec(i, j, explicit(members, min_value), CoeffFn.from_table(table))
+        return SeriesSpec(i, j, explicit(members, min_value), CoeffFn("table", table=table))
     coeff = draw(st.sampled_from((CoeffFn.constant(1), CoeffFn.constant(-2),
                                   CoeffFn.alternating())))
     return SeriesSpec(i, j, _SET_MAKERS[kind](min_value), coeff)
@@ -166,8 +166,9 @@ def test_cancelling_form_leaves_only_composite_squares():
 def test_missing_table_entry_raises_on_the_same_member():
     # Member 3 of the second term sits at position 2 * 3**2 = 18, before the
     # first term's member 5 at position 25; both lack a table entry.
-    f = LinearFormSpec(2, 0, ((1, SeriesSpec(1, 2, explicit([2, 5]), CoeffFn.from_table({2: 1}))),
-                              (1, SeriesSpec(2, 2, explicit([3]), CoeffFn.from_table({1: 1})))))
+    first = SeriesSpec(1, 2, explicit([2, 5]), CoeffFn("table", table={2: 1}))
+    second = SeriesSpec(2, 2, explicit([3]), CoeffFn("table", table={1: 1}))
+    f = LinearFormSpec(2, 0, ((1, first), (1, second)))
     with pytest.raises(ValueError, match="member 3"):
         gap_scan(f, 1, 30)
     assert _outcome(gap_scan, f, 1, 30) == _outcome(brute_gap_runs, f, 1, 30)
