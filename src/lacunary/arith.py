@@ -1,7 +1,8 @@
 """Exact integer utilities: primality, factorization, integer roots, CRT,
 and the Pell equation x**2 - D*y**2 = 1.
 
-Everything here is pure and deterministic; all other modules build on it.
+Everything here is pure and deterministic; all other modules build on it,
+and their value classes derive from ``Record``.
 """
 
 from __future__ import annotations
@@ -9,8 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 # Below this bound the Miller-Rabin base set is a proven deterministic test.
 PRIMALITY_EXACT_BOUND = 2**64
@@ -46,6 +46,56 @@ class BudgetExceeded(Exception):
 
 class SquareD(ValueError):
     """The Pell parameter D is a perfect square, so x**2 - D*y**2 = 1 is trivial."""
+
+
+class Record:
+    """Base of the package's immutable value classes, in place of a frozen dataclass.
+
+    A subclass's own annotations are its fields, in order, and its class
+    attributes their defaults. Each subclass gets one compiled ``__init__``
+    that takes the fields as a plain function would, sets them, and then
+    calls ``__post_init__`` if the class has one; a field it normalizes is
+    set with ``object.__setattr__``. Equality, hashing and repr go by the
+    field values, and assignment or deletion raises AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = names = tuple(cls.__dict__.get("__annotations__", ()))
+        defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+        params = "".join(f", {n}=__defaults[{n!r}]" if n in defaults else f", {n}"
+                         for n in names)
+        body = [f"__set(self, {n!r}, {n})" for n in names]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        namespace = {"__set": object.__setattr__, "__defaults": defaults}
+        exec(f"def __init__(self{params}):\n    " + "\n    ".join(body or ["pass"]), namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, n) for n in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def is_prime(n: int) -> bool:
@@ -99,8 +149,7 @@ def primality_certainty(n: int) -> str:
     return "exact" if n < PRIMALITY_EXACT_BOUND else "probable"
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Complete prime factorization: value == prod(p**e for p, e in factors)."""
 
     value: int
@@ -327,8 +376,7 @@ def crt_solve(congruences: list[tuple[int, int]]) -> tuple[int, int]:
     return x, m
 
 
-@dataclass(frozen=True)
-class PellSolution:
+class PellSolution(Record):
     D: int
     x: int
     y: int

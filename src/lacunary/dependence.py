@@ -10,12 +10,11 @@ equation solution sets for two square exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 # The Pell core lives in arith, below both this module and sets; SquareD,
 # pell_fundamental and pell_iter stay importable from here for existing callers.
-from .arith import (BudgetExceeded, SquareD,  # noqa: F401
+from .arith import (BudgetExceeded, Record, SquareD,  # noqa: F401
                     exponent_range, factor, int_nth_root, pell_fundamental, pell_iter)
 from .series import MAX_DIGITS, CoeffFn, LinearFormSpec, SeriesSpec, eval_linear_form, fraction_sci
 from .sets import ExponentSet, geometric, pell_x, pell_y
@@ -32,8 +31,7 @@ class NotApplicable(Exception):
     """Neither certificate construction applies to the given pair."""
 
 
-@dataclass(frozen=True)
-class FamilyIndex:
+class FamilyIndex(Record):
     """A finite set of distinct exponent pairs (i, j >= 2)."""
 
     pairs: tuple[tuple[int, int], ...]
@@ -52,8 +50,7 @@ class FamilyIndex:
         return cls(tuple((int(i), int(j)) for i, j in pairs))
 
 
-@dataclass(frozen=True)
-class PowerCollision:
+class PowerCollision(Record):
     """Witness that i1*u**j1 == i2*v**j2 for positive integers u, v."""
 
     pair1: tuple[int, int]
@@ -111,8 +108,7 @@ def square_exponent_pairs(family: FamilyIndex) -> list[tuple[int, int]]:
     return [p for p in family.pairs if p[1] == 2]
 
 
-@dataclass(frozen=True)
-class ConditionsReport:
+class ConditionsReport(Record):
     collisions: tuple[PowerCollision, ...]
     square_pairs: tuple[tuple[int, int], ...]
 
@@ -141,8 +137,7 @@ def independence_conditions(family: FamilyIndex) -> ConditionsReport:
     )
 
 
-@dataclass(frozen=True)
-class DependencyCertificate:
+class DependencyCertificate(Record):
     """An explicit rational dependence among 1 and two series values.
 
     ``weights`` = (w0, w1, w2) asserts
@@ -228,8 +223,7 @@ def _pair_form(b: int, weights: tuple[int, int, int], *terms) -> LinearFormSpec:
         for w, ((i, j), s) in zip(weights[1:], terms)))
 
 
-@dataclass(frozen=True)
-class EquationSolution:
+class EquationSolution(Record):
     """One solution of i0*x**j0 - i*y**j = +-u with everything positive."""
 
     x: int

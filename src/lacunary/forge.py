@@ -9,9 +9,8 @@ window around i0 * q**j0 is free of competing perfect-power positions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .arith import (BudgetExceeded, crt_solve, exponent_range, factor, is_prime,
+from .arith import (BudgetExceeded, Record, crt_solve, exponent_range, factor, is_prime,
                     primality_certainty)
 
 DEFAULT_SCAN_LIMIT = 200_000
@@ -21,8 +20,7 @@ DEFAULT_PRIME_BUDGET = 100_000
 MAX_WINDOW = 80
 
 
-@dataclass(frozen=True)
-class PrimeWitness:
+class PrimeWitness(Record):
     """A prime p and residue x with u * x**k + v = p (mod p**2).
 
     That congruence forces p to divide u*x**k + v exactly once, which is the
@@ -100,8 +98,7 @@ def find_witnesses(k: int, u: int, v: int, count: int, p_min: int = 2,
     )
 
 
-@dataclass(frozen=True)
-class CongruenceSystem:
+class CongruenceSystem(Record):
     """The combined CRT system for a target (i0, j0) and window radius N.
 
     One witness per offset l in 1..2N-1, l != N, pins X = x_l (mod p_l**2)
@@ -187,8 +184,7 @@ def find_prime(system: CongruenceSystem, attempt_budget: int = DEFAULT_PRIME_BUD
     )
 
 
-@dataclass(frozen=True)
-class ExclusionViolation:
+class ExclusionViolation(Record):
     offset: int          # u, the distance from the center
     side: str            # "-" for center - u, "+" for center + u
     i: int
@@ -200,8 +196,7 @@ class ExclusionViolation:
                 "i": self.i, "j": self.j, "k": self.k}
 
 
-@dataclass(frozen=True)
-class ExclusionReport:
+class ExclusionReport(Record):
     center: int
     window: int
     family: tuple[tuple[int, int], ...]
@@ -244,8 +239,7 @@ def verify_exclusions(q: int, i0: int, j0: int, window: int,
     return ExclusionReport(center, window, fam, tuple(v[-1] for v in found))
 
 
-@dataclass(frozen=True)
-class ForgeCertificate:
+class ForgeCertificate(Record):
     """Everything a third party needs to re-verify one forged prime."""
 
     system: CongruenceSystem

@@ -8,10 +8,10 @@ reported as an exclusion bound, never as an independence claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from .arith import Record
 from .series import FixedPointValue
 
 LOVASZ_DELTA = Fraction(99, 100)
@@ -103,8 +103,7 @@ def lll_reduce(rows, delta: Fraction = LOVASZ_DELTA) -> list[list[int]]:
     return basis
 
 
-@dataclass(frozen=True)
-class RelationQuery:
+class RelationQuery(Record):
     """A relation search problem over fixed-point values sharing one base."""
 
     values: tuple[FixedPointValue, ...]
@@ -127,8 +126,7 @@ class RelationQuery:
         return self.values[0].base
 
 
-@dataclass(frozen=True)
-class IntegerRelation:
+class IntegerRelation(Record):
     """A nonzero integer vector c with sum(c_i * value_i) below noise level."""
 
     coefficients: tuple[int, ...]
@@ -139,8 +137,7 @@ class IntegerRelation:
             raise ValueError("relation coefficients cannot all be zero")
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(Record):
     residual: Fraction
     allowed: Fraction
     passed: bool
@@ -165,8 +162,7 @@ def verify_relation(values, coefficients) -> RelationCheck:
     return RelationCheck(residual, allowed, residual <= allowed)
 
 
-@dataclass(frozen=True)
-class RelationSearchReport:
+class RelationSearchReport(Record):
     """Outcome of one search: either a relation or an exclusion statement.
 
     When no relation is returned, ``residual_floor`` is a proven lower bound

@@ -7,12 +7,11 @@ view (one integer per base-b position) and its zero-run scans live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 from functools import cache, lru_cache
 
-from .arith import BudgetExceeded, exponent_images, exponent_range, int_nth_root
+from .arith import BudgetExceeded, Record, exponent_images, exponent_range, int_nth_root
 from .sets import ExponentSet
 
 # Guard digits appended beyond the requested precision; keeps carry
@@ -105,8 +104,7 @@ class CoeffFn:
                 "bound": self.bound}
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(Record):
     """One series sum over n in `set` of coeff(n) / b**(i * n**j)."""
 
     i: int
@@ -124,8 +122,7 @@ class SeriesSpec:
         return self.i * n**self.j
 
 
-@dataclass(frozen=True)
-class FixedPointValue:
+class FixedPointValue(Record):
     """Base-b fixed point number mantissa / b**scale with a rigorous error bound.
 
     ``error_bound`` bounds |true - represented| and is carried through every
@@ -174,8 +171,7 @@ class FixedPointValue:
         return f"{sign}{int_part}.{frac:0{places}d}"
 
 
-@dataclass(frozen=True)
-class DigitRendering:
+class DigitRendering(Record):
     """Base-b fractional digits, most significant first.
 
     ``uncertain`` lists the 1-based positions whose digit could change if the
@@ -186,8 +182,7 @@ class DigitRendering:
     uncertain: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LinearFormSpec:
+class LinearFormSpec(Record):
     """constant + sum of weight * series, all over the same base."""
 
     base: int

@@ -8,14 +8,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
-from .arith import SquareD, factor, int_nth_root, is_prime, pell_iter, prime_sieve
+from .arith import Record, SquareD, factor, int_nth_root, is_prime, pell_iter, prime_sieve
 
 
-@dataclass(frozen=True)
-class ExponentSet:
+class ExponentSet(Record):
     """A subset of the positive integers used as a series index set.
 
     kind selects the family, whose rules are one entry of ``KINDS``; the
@@ -133,8 +131,7 @@ def set_enumerate(s: ExponentSet, limit: int) -> list[int]:
 
 # ---------------------------------------------------------------- set kinds
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(Record):
     """Everything one set kind decides.
 
     ``fields`` are the JSON fields after "kind", in the order the factory
@@ -148,8 +145,12 @@ class _Kind:
     contains: Callable[[ExponentSet, int], bool]
     members_up_to: Callable[[ExponentSet, int], Iterable[int]]
     fields: tuple[str, ...] = ()
-    defaults: dict = field(default_factory=dict)
+    defaults: dict | None = None
     finite: bool = False
+
+    def __post_init__(self) -> None:
+        if self.defaults is None:  # a fresh dict per kind, never one shared default
+            object.__setattr__(self, "defaults", {})
 
 
 def _explicit_contains(s: ExponentSet, n: int) -> bool:

@@ -1,4 +1,8 @@
+import dataclasses
+import inspect
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +10,14 @@ from hypothesis import strategies as st
 
 from lacunary.arith import (
     BudgetExceeded,
+    Record,
     crt_solve,
     factor,
     int_nth_root,
     is_exponent_image,
     is_prime,
 )
-from lacunary.sets import naturals, primes
+from lacunary.sets import KINDS, naturals, primes
 
 from oracles import trial_is_prime
 
@@ -114,3 +119,155 @@ def test_crt_solution_is_a_fixed_point(congruences):
     assert 0 <= x < alpha
     # appending the solution changes nothing
     assert crt_solve(congruences + [(x, alpha)]) == (x, alpha)
+
+
+# ------------------------------------------------------------ Record
+
+# Each class's fields with their defaults (... for a required field), as the frozen
+# dataclasses the package used before Record declared them.
+PACKAGE_RECORDS = {
+    "lacunary.arith.Factorization": {"value": ..., "factors": ...},
+    "lacunary.arith.PellSolution": {"D": ..., "x": ..., "y": ...},
+    "lacunary.sets.ExponentSet": {"kind": ..., "d": 0, "h": 0, "members": (), "u": 0, "j": 0,
+                                  "D": 0, "scale": 1, "min_value": 1},
+    # The dataclass's field(default_factory=dict): ... is made a fresh {} per kind.
+    "lacunary.sets._Kind": {"factory": ..., "contains": ..., "members_up_to": ...,
+                            "fields": (), "defaults": None, "finite": False},
+    "lacunary.series.SeriesSpec": {"i": ..., "j": ..., "set": ..., "coeff": ...},
+    "lacunary.series.FixedPointValue": {"base": ..., "mantissa": ..., "scale": ...,
+                                        "error_bound": Fraction(0)},
+    "lacunary.series.DigitRendering": {"digits": ..., "uncertain": ...},
+    "lacunary.series.LinearFormSpec": {"base": ..., "constant": ..., "terms": ...},
+    "lacunary.forge.PrimeWitness": {"k": ..., "u": ..., "v": ..., "p": ..., "x": ...},
+    "lacunary.forge.CongruenceSystem": {"i0": ..., "j0": ..., "window": ..., "d": ...,
+                                        "h": ..., "witnesses": ..., "modulus": ...,
+                                        "solution": ...},
+    "lacunary.forge.ExclusionViolation": {"offset": ..., "side": ..., "i": ..., "j": ...,
+                                          "k": ...},
+    "lacunary.forge.ExclusionReport": {"center": ..., "window": ..., "family": ...,
+                                       "violations": ...},
+    "lacunary.forge.ForgeCertificate": {"system": ..., "q": ..., "report": ...,
+                                        "retries": ...},
+    "lacunary.dependence.FamilyIndex": {"pairs": ...},
+    "lacunary.dependence.PowerCollision": {"pair1": ..., "pair2": ..., "u": ..., "v": ...},
+    "lacunary.dependence.ConditionsReport": {"collisions": ..., "square_pairs": ...},
+    "lacunary.dependence.DependencyCertificate": {
+        "kind": ..., "pair1": ..., "pair2": ..., "set1": ..., "set2": ...,
+        "weights": ..., "base": ..., "precision": ..., "residual": ...,
+        "error_bound": ...},
+    "lacunary.dependence.EquationSolution": {"x": ..., "y": ..., "u": ..., "sign": ...},
+    "lacunary.relations.RelationQuery": {"values": ..., "coeff_bound": ..., "precision": ...},
+    "lacunary.relations.IntegerRelation": {"coefficients": ..., "residual": ...},
+    "lacunary.relations.RelationCheck": {"residual": ..., "allowed": ..., "passed": ...},
+    "lacunary.relations.RelationSearchReport": {"relation": ..., "residual_floor": ...},
+}
+
+POST_INITS = Counter()
+
+
+def _post_init(self):
+    POST_INITS[type(self).__name__] += 1
+    if not isinstance(self.weight, Fraction):  # as FixedPointValue normalizes error_bound
+        object.__setattr__(self, "weight", Fraction(self.weight))
+
+
+class _Point(Record):
+    x: int
+    y: int = 2
+    weight: Fraction = Fraction(0)
+
+    __post_init__ = _post_init
+
+
+@dataclasses.dataclass(frozen=True)
+class _DataPoint:
+    x: int
+    y: int = 2
+    weight: Fraction = Fraction(0)
+
+    __post_init__ = _post_init
+
+
+class _OtherPoint(Record):
+    x: int
+    y: int = 2
+    weight: Fraction = Fraction(0)
+
+
+@dataclasses.dataclass(frozen=True)
+class _OtherDataPoint:
+    x: int
+    y: int = 2
+    weight: Fraction = Fraction(0)
+
+
+def _outcome(cls, *args, **kwargs):
+    """What constructing cls gives, with its name masked so that twins compare."""
+    try:
+        obj = cls(*args, **kwargs)
+    except TypeError as exc:
+        return "TypeError", str(exc).replace(cls.__qualname__, "C")
+    return repr(obj).replace(cls.__qualname__, "C"), hash(obj), type(obj.weight)
+
+
+@pytest.mark.parametrize("args, kwargs, ok", [
+    ((1,), {}, True),
+    ((1, 3), {}, True),
+    ((1, 3, Fraction(1, 2)), {}, True),
+    ((1,), {"weight": 1}, True),
+    ((), {"y": 3, "x": 1}, True),
+    ((), {}, False),                      # missing field
+    ((1,), {"z": 1}, False),              # unknown field
+    ((1,), {"x": 2}, False),              # repeated field
+    ((1, 2, 3, 4), {}, False),            # too many
+])
+def test_record_constructs_like_a_frozen_dataclass(args, kwargs, ok):
+    got = _outcome(_Point, *args, **kwargs)
+    assert got == _outcome(_DataPoint, *args, **kwargs)
+    assert (got[0] != "TypeError") == ok
+
+
+def test_record_refuses_assignment_and_deletion_like_a_frozen_dataclass():
+    for cls in (_Point, _DataPoint):
+        obj = cls(1)
+        for name in ("x", "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(obj, name, 5)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(obj, name)
+        assert (obj.x, obj.y) == (1, 2)
+
+
+def test_record_equality_hash_and_repr_match_a_frozen_dataclass():
+    for cls, other in ((_Point, _OtherPoint), (_DataPoint, _OtherDataPoint)):
+        assert cls(1) == cls(1, 2, Fraction(0)) == cls(x=1, weight=0)
+        assert cls(1) != cls(1, 3)
+        assert cls(1) != other(1) and cls(1).__eq__(other(1)) is NotImplemented
+        assert hash(cls(1, 3)) == hash((1, 3, Fraction(0)))
+    assert _Point(1) != _DataPoint(1)
+    assert repr(_Point(1, 3)) == "_Point(x=1, y=3, weight=Fraction(0, 1))"
+    assert repr(_DataPoint(1, 3)) == "_DataPoint(x=1, y=3, weight=Fraction(0, 1))"
+
+
+def test_record_post_init_runs_once_and_may_normalize_a_field():
+    for cls in (_Point, _DataPoint):
+        before = POST_INITS[cls.__name__]
+        obj = cls(1, weight=3)
+        assert POST_INITS[cls.__name__] == before + 1
+        assert type(obj.weight) is Fraction and obj.weight == 3
+
+
+def test_package_records_keep_their_dataclass_signatures():
+    found = {f"{cls.__module__}.{cls.__qualname__}": cls for cls in Record.__subclasses__()
+             if cls.__module__.startswith("lacunary.")}
+    assert found.keys() == PACKAGE_RECORDS.keys()
+    for name, fields in PACKAGE_RECORDS.items():
+        params = inspect.signature(found[name]).parameters.values()
+        assert [(p.name, ... if p.default is p.empty else p.default)
+                for p in params] == list(fields.items()), name
+
+
+def test_kinds_do_not_share_a_defaults_dict():
+    owned = [k.defaults for k in KINDS.values()]
+    assert len({id(d) for d in owned}) == len(owned)
+    assert KINDS["pell_y"].defaults == {"scale": 1} and KINDS["naturals"].defaults == {}

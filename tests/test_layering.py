@@ -2,11 +2,15 @@
 
 Every import sits at module level, so the dependencies between modules are
 visible at a glance, and the intra-package import graph has no cycle. Every
-exception the package defines has one of two roots.
+exception the package defines has one of two roots. Starting the CLI loads
+none of the standard library's slow-to-import class machinery.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -67,3 +71,13 @@ def test_every_exception_has_one_of_two_roots():
     assert [f"{c.__module__}.{c.__name__}" for c in classes
             if not issubclass(c, (ValueError, BudgetExceeded))] == [
         "lacunary.cli.SpecError", "lacunary.dependence.NotApplicable"]
+
+
+def test_cli_start_imports_no_dataclasses_inspect_or_typing():
+    # -S keeps site (and any .pth file it runs) from loading these first.
+    probe = ("import sys, lacunary.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
