@@ -493,12 +493,15 @@ def main(argv=None) -> int:
             if getattr(args, field, None) is not None:
                 spec[field] = getattr(args, field)
         report, code = run_job(args.command, spec)
+        # The int/str digit limit guards the parsing of input; the report's
+        # integers come from a finished job, so it is lifted only to write them.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
         try:
             payload = (json.dumps(report, indent=2, sort_keys=True) + "\n"
                        if args.format == "json" else _render_text(report))
-        except ValueError as exc:  # str() of an integer past the int/str digit limit
-            raise ValueError(f"the report holds an integer over the int/str digit limit "
-                             f"({sys.get_int_max_str_digits()} digits)") from exc
+        finally:
+            sys.set_int_max_str_digits(limit)
         if args.out:
             _write(args.out, payload)
         else:

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -553,17 +554,8 @@ def _out_in_a_missing_directory(tmp):
     return ["eval", "--spec", write_spec(tmp, {"base": 2, "digits": 5}), "--out", out], out
 
 
-def _report_past_the_digit_limit(tmp):
-    # center = i0 * q**2 has one digit more than the limit allows i0
-    i0 = "9" * sys.get_int_max_str_digits()
-    spec = tmp / "forge.json"
-    spec.write_text('{"i0": ' + i0 + ', "j0": 2, "N": 1}')
-    return (["forge", "--spec", str(spec)],
-            "the report holds an integer over the int/str digit limit")
-
-
 UNREADABLE = [_unreadable_spec, _deep_spec, _long_integer_spec, _long_integer_in_a_pair,
-              _out_is_a_directory, _out_in_a_missing_directory, _report_past_the_digit_limit]
+              _out_is_a_directory, _out_in_a_missing_directory]
 
 
 def _assert_one_input_error_line(code, out, err, names):
@@ -579,6 +571,40 @@ def test_unreadable_input_and_unwritable_report_exit_2(tmp_path, capsys, case):
     proc = subprocess.run([sys.executable, "-m", "lacunary.cli", *args],
                           capture_output=True, text=True)
     _assert_one_input_error_line(proc.returncode, proc.stdout, proc.stderr, names)
+
+
+def _loads_past_the_digit_limit(text: str):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.loads(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_report_past_the_digit_limit_is_written(tmp_path, capsys):
+    # center = i0 * q**2 has one digit more than the limit allows i0: main
+    # lifts the limit only to write the report, in either format, and the
+    # report's embedded spec, whose i0 is at the limit, replays it.
+    limit = sys.get_int_max_str_digits()
+    spec = tmp_path / "forge.json"
+    spec.write_text('{"i0": ' + "9" * limit + ', "j0": 2, "N": 1}')
+    outs = {}
+    for fmt in ("json", "text"):
+        args = ["forge", "--spec", str(spec), "--format", fmt]
+        code, outs[fmt], err = run_cli(args, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert sys.get_int_max_str_digits() == limit
+        proc = subprocess.run([sys.executable, "-m", "lacunary.cli", *args],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, outs[fmt], "")
+    report = _loads_past_the_digit_limit(outs["json"])
+    result = report["result"]
+    assert result["exclusions"]["center"] == (10**limit - 1) * result["q"] ** 2 >= 10**limit
+    center = re.search(r'"center": (\d+)', outs["json"])[1]
+    assert f"exclusions.center = {center}\n" in outs["text"]
+    replay = write_spec(tmp_path, report["spec"], name="replay.json")
+    assert run_cli(["forge", "--spec", replay], capsys) == (EXIT_OK, outs["json"], "")
 
 
 def test_forge_report_is_independently_reverifiable(tmp_path, capsys):

@@ -8,13 +8,26 @@ when trial division stops at p*p > n as prime without a test. Each input
 below sits where moving a tier's bound, or its base count, by one prime
 changes a verdict; ``ref_is_prime`` and ``ref_factor`` are the code these
 shortcuts replaced.
+
+From ``_SPLIT_BITS`` bits a forked child tests half of the rounds after base
+2. The tests of that split hold on one CPU too, where every round runs in
+process; the three that need the child skip there.
 """
+
+import functools
+import math
+import os
+import random
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lacunary.arith import _MR_BASES, _SIEVED_BOUND, _TRIAL_LIMIT, factor, is_prime
+from lacunary import arith
+from lacunary.arith import _MR_BASES, _SIEVED_BOUND, _SPLIT_BITS, _TRIAL_LIMIT, factor, is_prime
+from lacunary.forge import build_congruence_system, find_prime
 
 from oracles import ref_factor, ref_is_prime, trial_is_prime
 
@@ -160,3 +173,157 @@ def test_semiprimes_match_reference(p, q):
     _assert_matches_reference(n)
     expected = ((p, 2),) if p == q else tuple(sorted(((p, 1), (q, 1))))
     assert factor(n).factors == expected
+
+
+# ---------------------------------------------------------------- the split
+
+SPLITS = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+          and len(os.sched_getaffinity(0)) >= 2)
+needs_split = pytest.mark.skipif(not SPLITS, reason="the split needs os.fork and two CPUs")
+
+MERSENNE_PRIMES = (2**521 - 1, 2**607 - 1, 2**1279 - 1)
+# Composite, with no factor below 10**4, and strong base-2 pseudoprimes, as
+# every composite Mersenne number is: each reaches the split.
+MERSENNE_COMPOSITES = (2**523 - 1, 2**541 - 1, 2**1277 - 1)
+
+
+@functools.cache
+def _forge_prime(window: int) -> int:
+    """The least prime of the forge progression for i0 = 1, j0 = 2 and radius window."""
+    return find_prime(build_congruence_system(1, 2, window))
+
+
+# Every input at or above the split, built on demand: the forge primes take
+# a prime search each.
+SPLIT_INPUTS = {
+    **{f"M{n.bit_length()}": (lambda n=n: n) for n in MERSENNE_PRIMES + MERSENNE_COMPOSITES},
+    "forge24": lambda: _forge_prime(24),
+    "forge40": lambda: _forge_prime(40),
+    "semiprime": lambda: _next_prime(2**299 + 2**150) * _next_prime(2**299 + 2**200),
+}
+
+
+def _open_fds() -> set[str]:
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
+def _checked_is_prime(n: int) -> bool:
+    """is_prime(n), asserting that no child is left to reap and no descriptor open."""
+    fds = _open_fds()
+    verdict = is_prime(n)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+    return verdict
+
+
+def _count_forks(monkeypatch) -> list[int]:
+    """The pids os.fork returns from now on in this process, as a list that grows."""
+    forks, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def test_split_inputs_are_what_they_claim():
+    primorial = math.prod(p for p in range(2, _TRIAL_LIMIT) if trial_is_prime(p))
+    assert all(make().bit_length() >= _SPLIT_BITS for make in SPLIT_INPUTS.values())
+    assert [_forge_prime(w).bit_length() for w in (24, 40)] == [648, 1211]
+    for n in MERSENNE_COMPOSITES:
+        assert math.gcd(n, primorial) == 1 and _strong_probable_prime(n, 2), n
+
+
+@pytest.mark.parametrize("name", SPLIT_INPUTS)
+def test_above_the_split_matches_reference(name, monkeypatch):
+    n = SPLIT_INPUTS[name]()
+    forks = _count_forks(monkeypatch)
+    assert _checked_is_prime(n) == ref_is_prime(n)
+    # Base 2 rejects the semiprime before any fork.
+    assert len(forks) == (1 if SPLITS and _strong_probable_prime(n, 2) else 0)
+
+
+def test_no_fork_below_the_split_or_on_one_cpu(monkeypatch):
+    forks = _count_forks(monkeypatch)
+    below = _next_prime(2 ** (_SPLIT_BITS - 2))
+    assert below.bit_length() == _SPLIT_BITS - 1
+    assert _checked_is_prime(below)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _checked_is_prime(MERSENNE_PRIMES[0])
+    assert forks == []
+
+
+def test_a_failed_fork_runs_every_round_here(monkeypatch):
+    def fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", fork)
+    for n in (MERSENNE_PRIMES[0], MERSENNE_COMPOSITES[0], _forge_prime(24)):
+        assert _checked_is_prime(n) == ref_is_prime(n)
+
+
+def test_a_second_thread_does_not_fork(monkeypatch):
+    forks = _count_forks(monkeypatch)
+    inputs = (MERSENNE_PRIMES[0], MERSENNE_COMPOSITES[0])
+    verdicts = []
+    thread = threading.Thread(target=lambda: verdicts.extend(map(is_prime, inputs)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert verdicts == [True, False] and forks == []
+
+
+@needs_split
+def test_a_witness_in_the_childs_half_decides(monkeypatch):
+    # Patched before the fork, so only the child's bases are witnesses.
+    parent, real = os.getpid(), arith._is_witness
+    monkeypatch.setattr(arith, "_is_witness", lambda *args: os.getpid() != parent or real(*args))
+    forks = _count_forks(monkeypatch)
+    assert not _checked_is_prime(MERSENNE_PRIMES[0])
+    assert len(forks) == 1
+
+
+@needs_split
+def test_a_witness_in_the_parents_half_kills_the_child(monkeypatch):
+    # M523 passes base 2, and base 3, the first of the parent's half, is a
+    # witness: the parent kills the child, whose rounds would take 30 s.
+    parent, real = os.getpid(), arith._is_witness
+
+    def witness(*args):
+        if os.getpid() != parent:
+            time.sleep(30)
+        return real(*args)
+
+    monkeypatch.setattr(arith, "_is_witness", witness)
+    start = time.monotonic()
+    assert not _checked_is_prime(MERSENNE_COMPOSITES[0])
+    assert time.monotonic() - start < 10
+
+
+@needs_split
+def test_a_child_that_writes_nothing_is_retested(monkeypatch):
+    # The child exits at its first round. The parent then tests the child's
+    # half itself: with the real rounds it finds M521 prime, and when the
+    # last base drawn, which is in the child's half, is a witness, composite.
+    n = MERSENNE_PRIMES[0]
+    rng = random.Random(n)
+    last = [rng.randrange(2, n - 1) for _ in range(64)][-1]
+    parent, real = os.getpid(), arith._is_witness
+    fake_last = False
+
+    def witness(*args):
+        if os.getpid() != parent:
+            os._exit(0)
+        return (fake_last and args[-1] == last) or real(*args)
+
+    monkeypatch.setattr(arith, "_is_witness", witness)
+    forks = _count_forks(monkeypatch)
+    assert _checked_is_prime(n)
+    fake_last = True
+    assert not _checked_is_prime(n)
+    assert len(forks) == 2
