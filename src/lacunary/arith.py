@@ -8,6 +8,7 @@ and their value classes derive from ``Record``.
 from __future__ import annotations
 
 import _thread
+import bisect
 import functools
 import math
 import os
@@ -286,6 +287,17 @@ def _trial_table() -> tuple[tuple[int, ...], frozenset[int], int]:
     """The primes below _TRIAL_LIMIT: ascending, as a set, and their product."""
     primes = tuple(prime_sieve(_TRIAL_LIMIT))
     return primes, frozenset(primes), math.prod(primes)
+
+
+def trial_product(limit: int) -> int:
+    """The product of the trial primes (those below 10**4) up to limit."""
+    return _trial_prefix_product(bisect.bisect_right(_trial_table()[0], limit))
+
+
+@functools.cache
+def _trial_prefix_product(count: int) -> int:
+    """The product of the first count trial primes; at most 1230 are cached."""
+    return math.prod(_trial_table()[0][:count])
 
 
 def _brent_rho(n: int, steps_left: list[int]) -> int:

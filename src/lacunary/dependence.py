@@ -20,9 +20,9 @@ from .series import MAX_DIGITS, CoeffFn, LinearFormSpec, SeriesSpec, eval_linear
 from .sets import ExponentSet, geometric, pell_x, pell_y
 
 
-# Largest x_max enumerate_equation_solutions scans (each x costs two root
-# extractions) and most candidates y it examines over all x; past either it
-# raises BudgetExceeded.
+# Largest x_max enumerate_equation_solutions takes, and most candidate pairs
+# (x, y) it examines; past either it raises BudgetExceeded. The scan walks x,
+# or y when fewer y than x reach the window, at two root extractions a step.
 MAX_X = 10**6
 MAX_CANDIDATES = 10**6
 
@@ -242,15 +242,22 @@ def enumerate_equation_solutions(i0: int, j0: int, i: int, j: int,
     Only finitely many exist; the largest returned x is an empirical lower
     estimate of the true cutoff beyond which the window positions are clear.
     This is a bounded scan, never a finiteness proof. For each x, two root
-    extractions bound the y with i*y**j within u_max of i0*x**j0. Solutions
-    come by x, then u, then sign ("+" first). Raises BudgetExceeded when
-    x_max is above MAX_X, or, during the scan, once the candidate y counted
-    so far pass MAX_CANDIDATES.
+    extractions bound the y with i*y**j within u_max of i0*x**j0; when fewer
+    y than x can reach the window, the scan walks y instead and bounds each
+    y's x the same way. Solutions come by x, then u, then sign ("+" first).
+    Raises BudgetExceeded when x_max is above MAX_X, or once the candidate
+    pairs (x, y) pass MAX_CANDIDATES; the message names the x that the walk
+    over x had reached.
     """
     if u_max < 1 or x_max < 1:
         raise ValueError("u_max and x_max must be >= 1")
     if x_max > MAX_X:
         raise BudgetExceeded(f"x_max = {x_max} is above the cap of {MAX_X}")
+    y_max = int_nth_root((i0 * x_max**j0 + u_max) // i, j)[0]
+    if y_max < x_max:
+        found = _solutions_by_y(i0, j0, i, j, u_max, x_max, y_max)
+        if found is not None:
+            return found
     out, candidates = [], 0
     for x in range(1, x_max + 1):
         lead = i0 * x**j0
@@ -262,3 +269,25 @@ def enumerate_equation_solutions(i0: int, j0: int, i: int, j: int,
         near = sorted((abs(n - lead), n > lead, y) for y in ys if (n := i * y**j) != lead)
         out.extend(EquationSolution(x, y, u, "-" if above else "+") for u, above, y in near)
     return out
+
+
+def _solutions_by_y(i0: int, j0: int, i: int, j: int, u_max: int, x_max: int,
+                    y_max: int) -> list[EquationSolution] | None:
+    """The solutions, in order, from a walk over y = 1..y_max.
+
+    Each y gets its x from two root extractions, with the roles of the sides
+    swapped. The candidate pairs (x, y) are those of the walk over x, so when
+    their count passes MAX_CANDIDATES this returns None, and the walk over x
+    raises with the x it reached.
+    """
+    out, candidates = [], 0
+    for y in range(1, y_max + 1):
+        n = i * y**j
+        xs = exponent_range(max(1, n - u_max), n + u_max, i0, j0)
+        xs = range(xs.start, min(xs.stop, x_max + 1))
+        candidates += len(xs)
+        if candidates > MAX_CANDIDATES:
+            return None
+        out.extend((x, abs(n - lead), n > lead, y) for x in xs if (lead := i0 * x**j0) != n)
+    out.sort()
+    return [EquationSolution(x, y, u, "-" if above else "+") for x, u, above, y in out]

@@ -11,13 +11,17 @@ from __future__ import annotations
 import math
 
 from .arith import (BudgetExceeded, Record, crt_solve, exponent_range, factor, is_prime,
-                    primality_certainty)
+                    primality_certainty, trial_product)
 
 DEFAULT_SCAN_LIMIT = 200_000
 DEFAULT_PRIME_BUDGET = 100_000
 # Largest window radius N build_congruence_system takes; past it, BudgetExceeded.
 # The witness search, the CRT modulus and the prime search all grow with N.
 MAX_WINDOW = 80
+# Largest j0 build_congruence_system takes; past it, BudgetExceeded. The
+# scanned values u*m**j0 + v, the witness primes, the CRT modulus and the
+# center i0*q**j0 all grow with j0.
+MAX_J0 = 10
 
 
 class PrimeWitness(Record):
@@ -70,22 +74,32 @@ def find_witnesses(k: int, u: int, v: int, count: int, p_min: int = 2,
                    exclude=(), scan_limit: int = DEFAULT_SCAN_LIMIT) -> list[PrimeWitness]:
     """Collect `count` witnesses with distinct primes p > max(p_min, k, u, |v|).
 
-    Scans m = 1, 2, ... factoring u*m**k + v and harvesting new eligible prime
-    divisors in increasing order, then lifts each root; reproducible by
-    construction. Raises BudgetExceeded when the scan budget runs out.
+    Scans m = 1, 2, ... harvesting the new eligible prime divisors of
+    u*m**k + v in increasing order, then lifts each root; reproducible by
+    construction. Gcds with the product of the trial primes up to the floor
+    first strip the primes that can never count, and only a cofactor above
+    the floor is factored. Raises BudgetExceeded when the scan budget runs
+    out.
     """
     if k < 2 or u < 1 or count < 1:
         raise ValueError("need k >= 2, u >= 1, count >= 1")
     if v == 0:
         raise ValueError("v must be nonzero")
     floor = max(p_min, k, u, abs(v))
+    small = trial_product(floor)
     used = set(exclude)
     out: list[PrimeWitness] = []
     for m in range(1, scan_limit + 1):
-        g_m = u * m**k + v
-        if g_m == 0:
+        rest = abs(u * m**k + v)
+        if rest == 0:
             continue
-        for p, _ in factor(abs(g_m)).factors:
+        g = math.gcd(rest, small)
+        while g > 1:
+            rest //= g
+            g = math.gcd(rest, g)
+        if rest <= floor:  # every prime factor left is at most the floor
+            continue
+        for p, _ in factor(rest).factors:
             if p <= floor or p in used:
                 continue
             lifted = hensel_step(k, u, v, p, m % p)
@@ -133,7 +147,8 @@ def build_congruence_system(i0: int, j0: int, window: int, d: int = 1, h: int = 
     Witness primes are pairwise distinct, coprime to d, and exceed the window
     radius, which is what makes the combined modulus and solution coprime.
     window == 1 degenerates to the base congruence alone. Raises
-    BudgetExceeded, before any search, when window is above MAX_WINDOW.
+    BudgetExceeded, before any search, when window is above MAX_WINDOW or j0
+    above MAX_J0.
     """
     if i0 < 1 or j0 < 2:
         raise ValueError("need i0 >= 1 and j0 >= 2")
@@ -143,6 +158,8 @@ def build_congruence_system(i0: int, j0: int, window: int, d: int = 1, h: int = 
         raise ValueError("need positive d, h with gcd(d, h) = 1")
     if window > MAX_WINDOW:
         raise BudgetExceeded(f"N = {window} is above the cap of {MAX_WINDOW}")
+    if j0 > MAX_J0:
+        raise BudgetExceeded(f"j0 = {j0} is above the cap of {MAX_J0}")
 
     floor = max(p_min, window)
     used = {p for p, _ in factor(d).factors}

@@ -4,8 +4,8 @@ Nothing in here touches the package under test, apart from the set
 membership tests and coefficient functions a caller passes in with a form;
 everything is the dumbest correct method available (trial division, sieves,
 exhaustive scans, exact Fraction summation), or, for the ref_* functions,
-brute_lll and horner_mantissa, the package's own earlier method, kept as the
-reference for the faster code that replaced it.
+brute_lll, brute_witnesses and horner_mantissa, the package's own earlier
+method, kept as the reference for the faster code that replaced it.
 """
 
 from __future__ import annotations
@@ -510,3 +510,32 @@ def ref_factor(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> tuple[tuple[int, 
         stack.extend((d, m // d))
 
     return tuple(sorted(found.items()))
+
+
+def brute_witnesses(k: int, u: int, v: int, count: int, p_min: int = 2, exclude=(),
+                    scan_limit: int = 200_000) -> list[tuple[int, int]]:
+    """The (p, x) of forge.find_witnesses by its earlier scan: factor every
+    u*m**k + v for m = 1, 2, ..., and lift each new prime above the floor.
+
+    Raises RefBudgetExceeded with find_witnesses' message when the scan runs out.
+    """
+    floor = max(p_min, k, u, abs(v))
+    used = set(exclude)
+    out = []
+    for m in range(1, scan_limit + 1):
+        g_m = u * m**k + v
+        if g_m == 0:
+            continue
+        for p, _ in ref_factor(abs(g_m)):
+            if p <= floor or p in used:
+                continue
+            # Hensel: x = m + p*y with u*x**k + v = p (mod p**2).
+            x = m % p
+            slope = k * u * pow(x, k - 1, p) % p
+            y = (1 - (u * x**k + v) // p) * pow(slope, -1, p) % p
+            out.append((p, p * y + x))
+            used.add(p)
+            if len(out) == count:
+                return out
+    raise RefBudgetExceeded(
+        f"{count} witnesses for ({k}, {u}, {v}) not found scanning m <= {scan_limit}")

@@ -329,3 +329,13 @@ def test_c13_pell_work_grows_with_the_limit():
     assert cert["result"]["kind"] == "pell" and cert["result"]["verified"]
     assert cert["result"]["residual"] == "0"
     assert value["result"]["value_digits"] == "0" * 50
+
+
+def test_c14_diophantine_short_side_at_scale():
+    # y**3 <= 10**10 + 200 holds 2154 y against 10**5 x, so the scan walks y:
+    # two root extractions per y instead of per x.
+    with criterion(14, "diophantine x_max 10^5 on the short side (j0 = 2, j = 3)", 0.2):
+        got = enumerate_equation_solutions(1, 2, 1, 3, u_max=200, x_max=10**5)
+    brute = sorted(brute_equation_solutions(1, 2, 1, 3, 200, 10**5),
+                   key=lambda s: (s[0], s[2], s[3] != "+"))
+    assert [(s.x, s.y, s.u, s.sign) for s in got] == brute

@@ -489,6 +489,21 @@ def test_diophantine_candidate_cap_boundary(tmp_path, capsys, monkeypatch):
     assert code == EXIT_BUDGET and "gives 11 candidates by x = 1" in err
 
 
+def test_diophantine_candidate_cap_on_the_short_side(tmp_path, capsys, monkeypatch):
+    # y**3 <= 1000**2 + 20 holds y <= 100 < x_max, so the scan walks y. It
+    # meets 39 candidate pairs: 29 solutions and the 10 exact x**2 == y**3.
+    # Past a cap, the message is the walk over x's, with the x it reached.
+    spec = write_spec(tmp_path, {"i0": 1, "j0": 2, "i": 1, "j": 3, "u_max": 20, "x_max": 1000})
+    for cap, reached in ((30, "31 candidates by x = 216"), (38, "39 candidates by x = 1000")):
+        monkeypatch.setattr(dependence, "MAX_CANDIDATES", cap)
+        code, out, err = run_cli(["diophantine", "--spec", spec], capsys)
+        assert code == EXIT_BUDGET and out == ""
+        assert err == f"budget exhausted: u_max = 20 gives {reached}, above the cap of {cap}\n"
+    monkeypatch.setattr(dependence, "MAX_CANDIDATES", 39)
+    code, out, _ = run_cli(["diophantine", "--spec", spec], capsys)
+    assert code == EXIT_OK and json.loads(out)["result"]["count"] == 29
+
+
 def test_malformed_specs(tmp_path, capsys):
     spec = write_spec(tmp_path, {"base": 2, "terms": [ALPHA_TERM]})  # no digits
     code, _, err = run_cli(["eval", "--spec", spec], capsys)

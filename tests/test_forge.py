@@ -1,9 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacunary.arith import BudgetExceeded
 from lacunary.forge import (
+    MAX_J0,
     CongruenceSystem,
     build_certificate,
     build_congruence_system,
@@ -13,7 +16,12 @@ from lacunary.forge import (
     verify_exclusions,
 )
 
-from oracles import trial_is_prime
+from oracles import RefBudgetExceeded, brute_witnesses, sieve_primes, trial_is_prime
+
+# Floors on both sides of the trial-prime limit 10**4 (9973 is the last trial
+# prime, 10007 the first prime above it), and primes an exclude set may hold.
+_P_MINS = (2, 50, 9973, 10**4, 10007, 2 * 10**4, 10**5)
+_EXCLUDABLE = sieve_primes(400) + [10007, 10009, 10037, 20011, 20021, 100003, 100019]
 
 
 def brute_witness_exists(k, u, v, p):
@@ -74,6 +82,24 @@ def test_find_witnesses_rejects_bad_inputs():
         find_witnesses(2, 1, -1, 50, scan_limit=4)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(k=st.integers(2, 5), u=st.integers(1, 9),
+       v=st.integers(-12, 12).filter(bool), count=st.integers(1, 4),
+       exclude=st.sets(st.sampled_from(_EXCLUDABLE), max_size=12),
+       p_min=st.sampled_from(_P_MINS), scan_limit=st.integers(1, 200))
+def test_find_witnesses_matches_the_factor_every_m_scan(k, u, v, count, exclude, p_min,
+                                                        scan_limit):
+    args = (k, u, v, count, p_min, exclude, scan_limit)
+    try:
+        expected = brute_witnesses(*args)
+    except RefBudgetExceeded as exc:
+        with pytest.raises(BudgetExceeded) as info:
+            find_witnesses(*args)
+        assert str(info.value) == str(exc)
+    else:
+        assert [(w.p, w.x) for w in find_witnesses(*args)] == expected
+
+
 def test_find_witnesses_grid_mini():
     for k in (2, 3):
         for u in (1, 2):
@@ -103,6 +129,14 @@ def test_build_congruence_system_with_progression():
     assert math.gcd(sys_.modulus, sys_.solution) == 1
     for _, w in sys_.witnesses:
         assert math.gcd(w.p, 4) == 1
+
+
+def test_build_congruence_system_refuses_j0_above_the_cap():
+    # Refused before any witness search: at j0 = 10**4 the scan would factor
+    # m**10000 + v, which was still running after a minute.
+    with pytest.raises(BudgetExceeded, match=r"^j0 = 10000 is above the cap of 10$"):
+        build_congruence_system(1, 10**4, 40)
+    assert build_congruence_system(1, MAX_J0, 1).j0 == MAX_J0
 
 
 def test_build_congruence_system_degenerate_window():
