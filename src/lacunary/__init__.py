@@ -66,6 +66,7 @@ from .series import (
     eval_series,
     exclusion_window_check,
     gap_scan,
+    leading_digits,
     render_digits,
 )
 from .sets import (

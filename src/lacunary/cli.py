@@ -313,13 +313,12 @@ def _run_eval(f: dict):
 
 
 def _run_digits(f: dict):
-    value = series.eval_linear_form(_form(f), f["digits"])
-    rendering = series.render_digits(value, f["count"])
+    rendering, negative, error = series.leading_digits(_form(f), f["digits"], f["count"])
     return {
         "digits": rendering.digits,
         "uncertain_positions": list(rendering.uncertain),
-        "sign": "-" if value.mantissa < 0 else "+",
-        "error_bound": fraction_sci(value.error_bound),
+        "sign": "-" if negative else "+",
+        "error_bound": fraction_sci(error),
     }, "ok", EXIT_OK
 
 

@@ -32,10 +32,12 @@ def _powers(b: int):
     return cache(lambda k: odd**k << s * k)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _unit(b: int, scale: int) -> int:
     """b**scale, the denominator of a fixed-point value. A job's values
-    share one scale, so the last one is kept: one job computes it once."""
+    share one scale, except that a `digits` job may use two (a shallow one
+    and its full one, see `leading_digits`), so the last two are kept: one
+    job computes each once."""
     return _powers(b)(scale)
 
 
@@ -214,8 +216,7 @@ def eval_series(spec: SeriesSpec, b: int, digits: int) -> FixedPointValue:
     if digits < 1:
         raise ValueError("digits must be >= 1")
     scale = digits + GUARD_DIGITS
-    n_cap = int_nth_root(scale // spec.i, spec.j)[0] if spec.i <= scale else 0
-    members = spec.set.members_up_to(n_cap) if n_cap >= 1 else []
+    members = _members_through(spec, scale)
 
     # (sum of coeff(n) * b**(last - exponent(n)) over a run, last exponent
     # of the run), one per member to begin with, merged pairwise.
@@ -227,17 +228,33 @@ def eval_series(spec: SeriesSpec, b: int, digits: int) -> FixedPointValue:
         runs = merged + runs[len(merged) * 2:]
     mantissa, last = runs[0] if runs else (0, scale)
     mantissa *= power(scale - last)
+    return FixedPointValue(b, mantissa, scale, _tail_bound(spec, b, scale, members))
 
+
+def _members_through(spec: SeriesSpec, scale: int) -> list[int]:
+    """The members n of spec's set with exponent i * n**j <= scale, ascending."""
+    n_cap = int_nth_root(scale // spec.i, spec.j)[0] if spec.i <= scale else 0
+    return spec.set.members_up_to(n_cap) if n_cap >= 1 else []
+
+
+def _tail_bound(spec: SeriesSpec, b: int, scale: int, members: list[int]) -> Fraction:
+    """The truncation error of spec summed through `scale`, where `members`
+    are its members there: zero for an explicit set all of whose members
+    were summed, else bound / ((b - 1) * b**scale), the sum over m > scale
+    of bound * b**-m."""
     if spec.set.is_finite and members == spec.set.members_up_to(max(spec.set.members, default=1)):
-        return FixedPointValue(b, mantissa, scale)
-    tail = Fraction(spec.coeff.bound, (b - 1) * _unit(b, scale))
-    return FixedPointValue(b, mantissa, scale, tail)
+        return Fraction(0)
+    return Fraction(spec.coeff.bound, (b - 1) * _unit(b, scale))
+
+
+def _check_cap(digits: int) -> None:
+    if digits > MAX_DIGITS:
+        raise BudgetExceeded(f"digits = {digits} is above the cap of {MAX_DIGITS}")
 
 
 def eval_linear_form(form: LinearFormSpec, digits: int) -> FixedPointValue:
     """constant + weighted series values, with error bounds accumulated."""
-    if digits > MAX_DIGITS:
-        raise BudgetExceeded(f"digits = {digits} is above the cap of {MAX_DIGITS}")
+    _check_cap(digits)
     scale = digits + GUARD_DIGITS
     mantissa = form.constant * _unit(form.base, scale) if form.constant else 0
     error = Fraction(0)
@@ -246,6 +263,60 @@ def eval_linear_form(form: LinearFormSpec, digits: int) -> FixedPointValue:
         mantissa += w * v.mantissa
         error += abs(w) * v.error_bound
     return FixedPointValue(form.base, mantissa, scale, error)
+
+
+def leading_digits(form: LinearFormSpec, digits: int,
+                   count: int) -> tuple[DigitRendering, bool, Fraction]:
+    """(render_digits(v, count), v.mantissa < 0, v.error_bound) for
+    v = eval_linear_form(form, digits), summing to the full scale only when
+    a shallow value cannot certify the digits (Ziv's strategy, 1991).
+
+    The cap check, every term's members at the full scale S = digits +
+    GUARD_DIGITS and their coefficients come first, so the same errors are
+    raised in the same order; the full error bound is summed from
+    `_tail_bound` without summing any member. Then, when the shallow scale
+    S' = 2 * count + GUARD_DIGITS is at most S / 4, the form is evaluated at
+    S' and its first `count` digits rendered; if no position is flagged,
+    they are the full value's, with no position flagged, and the full value
+    has the shallow one's sign. Proof, with v', e' the shallow value and
+    error and v, e the full ones:
+    - v - v' is the weighted sum of the members with exponent in (S', S],
+      so |v - v'| is at most the shallow tail over (S', S]: the sum over
+      the terms still open at S' of |w| * bound * (b**-S' - b**-S) / (b - 1);
+    - that tail plus e equals e' (or is below it when an explicit set ends
+      in (S', S]), so the interval v +- e lies inside v' +- e';
+    - render_digits widens an error to its integer cover, floor(e * b**S) + 1
+      units of b**-S, which is at most e + b**-S. Since e' * b**S' = M / (b - 1)
+      for an integer M, the shallow cover floor(e' * b**S') + 1 is at least
+      e' * b**S' + 1 / (b - 1), so it reaches at least 1 / ((b - 1) * b**S')
+      >= b**-S beyond e'. So the full scale's integer cover lies inside the
+      shallow one, which sits inside one cell of width b**-count on one side
+      of zero: the digits, the sign and the empty flag list carry over. An
+      exact shallow value (e' = 0) leaves out only members of weight 0, so
+      it is v itself.
+    Otherwise the full value is evaluated and rendered as before. A failed
+    attempt adds one evaluation and rendering at S' <= S / 4; both grow at
+    least linearly in the scale, so it costs at most about a quarter more
+    than the full job.
+    """
+    _check_cap(digits)
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    scale = digits + GUARD_DIGITS
+    error = Fraction(0)
+    for w, spec in form.terms:
+        members = _members_through(spec, scale)
+        for n in members:
+            spec.coeff(n)  # a table miss raises here, at the member eval_series would name
+        error += abs(w) * _tail_bound(spec, form.base, scale, members)
+    shallow = 2 * count
+    if 4 * (shallow + GUARD_DIGITS) <= scale:
+        value = eval_linear_form(form, shallow)
+        rendering = render_digits(value, count)
+        if not rendering.uncertain:
+            return rendering, value.mantissa < 0, error
+    value = eval_linear_form(form, digits)
+    return render_digits(value, count), value.mantissa < 0, value.error_bound
 
 
 def coefficient_at(form: LinearFormSpec, n: int) -> int:
@@ -338,14 +409,13 @@ def fraction_sci(fr: Fraction, sig: int = 3) -> str:
     f = -fr if fr < 0 else fr
     num, den = f.numerator, f.denominator
     # Within one of floor(log10 f), from the bit lengths (30103 / 10**5 is
-    # log10 2 to five places). One power of ten gives floor(f * 10**(sig - e)):
-    # the sig leading digits at exponent e - 1 and, after dropping trailing
-    # digits, at the exponents above it.
-    ten = _powers(10)
+    # log10 2 to five places). floor(f * 10**(sig - e)), which `_scaled_floor`
+    # finds without a power of ten as large as den, gives the sig leading
+    # digits at exponent e - 1 and, after dropping trailing digits, at the
+    # exponents above it.
     e = (num.bit_length() - den.bit_length()) * 30103 // 100000
     while True:
-        shift = sig - e
-        scaled = num * ten(shift) // den if shift >= 0 else num // (den * ten(-shift))
+        scaled = _scaled_floor(num, den, sig - e)
         if scaled >= 10 ** (sig - 1):
             break
         e -= 1
@@ -355,6 +425,53 @@ def fraction_sci(fr: Fraction, sig: int = 3) -> str:
         e += 1
     digits = str(scaled)
     return f"{sign}{digits[0]}.{digits[1:]}e{e:+d}"
+
+
+# Bits kept by each bound of 5**k in `_pow5_bounds`.
+_BOUND_BITS = 128
+
+
+def _pow5_bounds(k: int) -> tuple[int, int, int]:
+    """(lo, hi, t) with lo * 2**t <= 5**k <= hi * 2**t and lo, hi of at most
+    _BOUND_BITS bits: binary powering on both bounds at once, truncating lo
+    down and rounding hi up after each product. hi / lo - 1 stays below about
+    k * 2**-126."""
+    def trim(lo: int, hi: int, t: int) -> tuple[int, int, int]:
+        drop = max(hi.bit_length() - _BOUND_BITS, 0)
+        return lo >> drop, -(-hi >> drop), t + drop
+
+    lo, hi, t = 1, 1, 0
+    sq_lo, sq_hi, sq_t = 5, 5, 0  # bounds of 5**(2**i) at the i-th bit of k
+    while k:
+        if k & 1:
+            lo, hi, t = trim(lo * sq_lo, hi * sq_hi, t + sq_t)
+        k >>= 1
+        if k:
+            sq_lo, sq_hi, sq_t = trim(sq_lo * sq_lo, sq_hi * sq_hi, 2 * sq_t)
+    return lo, hi, t
+
+
+def _scaled_floor(num: int, den: int, shift: int) -> int:
+    """floor(num * 10**shift / den) for positive num and den.
+
+    10**shift is 5**shift * 2**shift, and `_pow5_bounds` brackets 5**|shift|,
+    so two divisions of numbers the size of num and den, with a quotient of a
+    few digits, bound the result from below and above. When the two agree,
+    that is the result, and no power of ten is built. They differ only when
+    the quotient lies within a relative 2**-100 or so of an integer, as at
+    an exact boundary such as num / den = 1.23 * 10**-shift; then the exact
+    power is taken.
+    """
+    k = abs(shift)
+    lo, hi, t = _pow5_bounds(k)
+    if shift >= 0:
+        low, high = (num * lo << (t + k)) // den, (num * hi << (t + k)) // den
+    else:
+        low, high = num // (den * hi << (t + k)), num // (den * lo << (t + k))
+    if low == high:
+        return low
+    ten = _powers(10)(k)
+    return num * ten // den if shift >= 0 else num // (den * ten)
 
 
 def render_digits(v: FixedPointValue, count: int) -> DigitRendering:

@@ -116,6 +116,31 @@ def ref_base_digits(n: int, b: int, width: int, power) -> str:
     return ref_base_digits(high, b, width - half, power) + ref_base_digits(low, b, half, power)
 
 
+def ref_fraction_sci(fr: Fraction, sig: int = 3) -> str:
+    """`sig` significant digits of a fraction in scientific notation.
+
+    The rendering the package used before it bracketed its powers of ten,
+    kept as a reference: one exact power of ten per exponent tried.
+    """
+    if fr == 0:
+        return "0"
+    sign = "-" if fr < 0 else ""
+    num, den = abs(fr.numerator), fr.denominator
+    e = (num.bit_length() - den.bit_length()) * 30103 // 100000
+    while True:
+        shift = sig - e
+        scaled = num * 10**shift // den if shift >= 0 else num // (den * 10**-shift)
+        if scaled >= 10 ** (sig - 1):
+            break
+        e -= 1
+    e -= 1
+    while scaled >= 10**sig:
+        scaled //= 10
+        e += 1
+    digits = str(scaled)
+    return f"{sign}{digits[0]}.{digits[1:]}e{e:+d}"
+
+
 def horner_mantissa(spec, b: int, scale: int, members) -> int:
     """sum of spec.coeff(n) * b**(scale - spec.exponent(n)) over ascending members.
 

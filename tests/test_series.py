@@ -18,6 +18,7 @@ from lacunary.series import (
     MAX_DIGITS,
     SeriesSpec,
     _base_digits,
+    _pow5_bounds,
     coefficient_at,
     eval_linear_form,
     eval_series,
@@ -44,6 +45,7 @@ from oracles import (
     brute_series_mantissa,
     horner_mantissa,
     ref_base_digits,
+    ref_fraction_sci,
     series_partial_sum,
     sieve_primes,
 )
@@ -479,6 +481,46 @@ def test_fraction_sci_exponent_for_huge_fractions(num, den, factor):
     ten_e = Fraction(10) ** int(e)
     assert ten_e <= abs(f) < 10 * ten_e
     assert mantissa.lstrip("-").replace(".", "") == str(int(abs(f) * 100 / ten_e))
+
+
+@st.composite
+def sci_fractions(draw):
+    """Fractions of either sign for fraction_sci: exact boundaries D * 10**k,
+    runs of nines over a power of ten, the error bounds M / ((b - 1) * b**S)
+    of values to S digits, and ratios of huge integers."""
+    shape = draw(st.sampled_from(("boundary", "nines", "error", "huge")))
+    if shape == "boundary":
+        f = draw(st.integers(1, 10**4)) * Fraction(10) ** draw(st.integers(-3000, 3000))
+    elif shape == "nines":
+        f = Fraction(10 ** draw(st.integers(1, 7)) - 1, 10 ** draw(st.integers(0, 3000)))
+    elif shape == "error":
+        b = draw(st.integers(2, 36))
+        f = Fraction(draw(st.integers(1, 1000)), (b - 1) * b ** draw(st.integers(1, 10**5)))
+    else:
+        f = Fraction(draw(huge_integers()), draw(huge_integers()))
+    return -f if draw(st.booleans()) else f
+
+
+@given(sci_fractions(), st.integers(1, 6))
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_fraction_sci_matches_the_exact_reference(f, sig):
+    assert fraction_sci(f, sig) == ref_fraction_sci(f, sig)
+
+
+@pytest.mark.parametrize("num, b, S", [(1, 3, 10**5), (-7, 36, 10**5), (123 * 9, 10, 50002),
+                                       (999 * 9, 10, 80000), (5, 2, 10**5)],
+                         ids=["b3", "b36-negative", "boundary-1.23", "nines", "b2"])
+def test_fraction_sci_at_deep_error_bounds(num, b, S):
+    f = Fraction(num, (b - 1) * b**S)  # the error bound of a value to S - 16 digits
+    assert fraction_sci(f) == ref_fraction_sci(f)
+
+
+@pytest.mark.parametrize("k", [0, 1, 55, 56, 57, 1000, 99999, 3 * 10**5])
+def test_pow5_bounds_bracket_the_power(k):
+    lo, hi, t = _pow5_bounds(k)
+    assert max(lo, hi).bit_length() <= 128
+    assert lo << t <= 5**k <= hi << t
+    assert (hi - lo) * 2**100 < lo
 
 
 @st.composite
