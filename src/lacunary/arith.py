@@ -66,8 +66,9 @@ class Record:
     attributes their defaults. Each subclass gets one compiled ``__init__``
     that takes the fields as a plain function would, sets them, and then
     calls ``__post_init__`` if the class has one; a field it normalizes is
-    set with ``object.__setattr__``. Equality, hashing and repr go by the
-    field values, and assignment or deletion raises AttributeError.
+    set with ``object.__setattr__``. Equality, hashing, repr and the JSON
+    form go by the field values, and assignment or deletion raises
+    AttributeError.
     """
 
     _fields: tuple[str, ...] = ()
@@ -107,6 +108,17 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+    def to_json(self) -> dict:
+        """The fields by name: a tuple becomes a list, and a value with its own
+        ``to_json`` gives that. A report value overrides only what differs."""
+        return {n: _json(getattr(self, n)) for n in self._fields}
+
+
+def _json(value):
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    return value.to_json() if hasattr(value, "to_json") else value
 
 
 def is_prime(n: int) -> bool:
@@ -302,8 +314,6 @@ def _trial_prefix_product(count: int) -> int:
 
 def _brent_rho(n: int, steps_left: list[int]) -> int:
     """Find a nontrivial factor of composite odd n, charging the step budget."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 50):
         y, m = 2, 128
         g = r = q = 1
@@ -366,8 +376,6 @@ def factor(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> Factorization:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue
@@ -394,17 +402,13 @@ def int_nth_root(n: int, k: int) -> tuple[int, bool]:
         return r, r * r == n
     if n.bit_length() <= k:
         return 1, n == 1
-    # Newton iteration on integers, then a safety correction.
+    # Integer Newton from r > s = floor(n**(1/k)) stops exactly at s. Each
+    # step is floor(((k-1)*r + n/r**(k-1)) / k), at least s by AM-GM; while
+    # r > s, r**k > n, so the step is below r. The first step not below r
+    # is therefore taken at r = s.
     r = 1 << ((n.bit_length() + k - 1) // k)
-    while True:
-        nr = ((k - 1) * r + n // r ** (k - 1)) // k
-        if nr >= r:
-            break
+    while (nr := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
         r = nr
-    while r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
     return r, r**k == n
 
 

@@ -117,16 +117,10 @@ class ConditionsReport(Record):
         return not self.collisions and len(self.square_pairs) <= 1
 
     def to_json(self) -> dict:
-        return {
-            "collision_free": not self.collisions,
-            "collisions": [
-                {"pair1": list(c.pair1), "pair2": list(c.pair2), "u": c.u, "v": c.v}
-                for c in self.collisions
-            ],
-            "square_exponent_pairs": [list(p) for p in self.square_pairs],
-            "at_most_one_square": len(self.square_pairs) <= 1,
-            "satisfied": self.satisfied,
-        }
+        obj = super().to_json()
+        obj["square_exponent_pairs"] = obj.pop("square_pairs")
+        return {**obj, "collision_free": not self.collisions,
+                "at_most_one_square": len(self.square_pairs) <= 1, "satisfied": self.satisfied}
 
 
 def independence_conditions(family: FamilyIndex) -> ConditionsReport:
@@ -162,16 +156,8 @@ class DependencyCertificate(Record):
         return self.residual <= self.error_bound
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "pair1": list(self.pair1), "pair2": list(self.pair2),
-            "set1": self.set1.to_json(), "set2": self.set2.to_json(),
-            "weights": list(self.weights),
-            "base": self.base, "precision": self.precision,
-            "residual": fraction_sci(self.residual),
-            "error_bound": fraction_sci(self.error_bound),
-            "verified": self.verified,
-        }
+        return {**super().to_json(), "residual": fraction_sci(self.residual),
+                "error_bound": fraction_sci(self.error_bound), "verified": self.verified}
 
 
 def build_counterexample(pair1: tuple[int, int], pair2: tuple[int, int],
@@ -231,9 +217,6 @@ class EquationSolution(Record):
     u: int
     sign: str  # "+" when i0*x**j0 - i*y**j = +u, "-" for -u
 
-    def to_json(self) -> dict:
-        return {"x": self.x, "y": self.y, "u": self.u, "sign": self.sign}
-
 
 def enumerate_equation_solutions(i0: int, j0: int, i: int, j: int,
                                  u_max: int, x_max: int) -> list[EquationSolution]:
@@ -241,53 +224,35 @@ def enumerate_equation_solutions(i0: int, j0: int, i: int, j: int,
 
     Only finitely many exist; the largest returned x is an empirical lower
     estimate of the true cutoff beyond which the window positions are clear.
-    This is a bounded scan, never a finiteness proof. For each x, two root
-    extractions bound the y with i*y**j within u_max of i0*x**j0; when fewer
-    y than x can reach the window, the scan walks y instead and bounds each
-    y's x the same way. Solutions come by x, then u, then sign ("+" first).
-    Raises BudgetExceeded when x_max is above MAX_X, or once the candidate
-    pairs (x, y) pass MAX_CANDIDATES; the message names the x that the walk
-    over x had reached.
+    This is a bounded scan, never a finiteness proof. The scan walks the
+    shorter side, x or y: for each value two root extractions bound the
+    values of the other side whose image lies within u_max of its own.
+    Solutions come by x, then u, then sign ("+" first). Raises
+    BudgetExceeded when x_max is above MAX_X, or once the candidate pairs
+    (x, y) pass MAX_CANDIDATES; both walks see the same pairs, and the
+    message names the x that the walk over x had reached.
     """
     if u_max < 1 or x_max < 1:
         raise ValueError("u_max and x_max must be >= 1")
     if x_max > MAX_X:
         raise BudgetExceeded(f"x_max = {x_max} is above the cap of {MAX_X}")
     y_max = int_nth_root((i0 * x_max**j0 + u_max) // i, j)[0]
-    if y_max < x_max:
-        found = _solutions_by_y(i0, j0, i, j, u_max, x_max, y_max)
-        if found is not None:
-            return found
-    out, candidates = [], 0
-    for x in range(1, x_max + 1):
-        lead = i0 * x**j0
-        ys = exponent_range(max(1, lead - u_max), lead + u_max, i, j)
-        candidates += ys.stop - ys.start
-        if candidates > MAX_CANDIDATES:
-            raise BudgetExceeded(f"u_max = {u_max} gives {candidates} candidates by x = {x}, "
-                                 f"above the cap of {MAX_CANDIDATES}")
-        near = sorted((abs(n - lead), n > lead, y) for y in ys if (n := i * y**j) != lead)
-        out.extend(EquationSolution(x, y, u, "-" if above else "+") for u, above, y in near)
-    return out
-
-
-def _solutions_by_y(i0: int, j0: int, i: int, j: int, u_max: int, x_max: int,
-                    y_max: int) -> list[EquationSolution] | None:
-    """The solutions, in order, from a walk over y = 1..y_max.
-
-    Each y gets its x from two root extractions, with the roles of the sides
-    swapped. The candidate pairs (x, y) are those of the walk over x, so when
-    their count passes MAX_CANDIDATES this returns None, and the walk over x
-    raises with the x it reached.
-    """
-    out, candidates = [], 0
-    for y in range(1, y_max + 1):
-        n = i * y**j
-        xs = exponent_range(max(1, n - u_max), n + u_max, i0, j0)
-        xs = range(xs.start, min(xs.stop, x_max + 1))
-        candidates += len(xs)
-        if candidates > MAX_CANDIDATES:
-            return None
-        out.extend((x, abs(n - lead), n > lead, y) for x in xs if (lead := i0 * x**j0) != n)
-    out.sort()
-    return [EquationSolution(x, y, u, "-" if above else "+") for x, u, above, y in out]
+    # (coefficient, exponent, last value, sign of i0*x**j0 - i*y**j from this side)
+    x_side, y_side = (i0, j0, x_max, 1), (i, j, y_max, -1)
+    walks = [(x_side, y_side)] if y_max >= x_max else [(y_side, x_side), (x_side, y_side)]
+    for (a, e, t_max, sign), (b, f, s_max, _) in walks:
+        found, candidates, top = [], 0, b * s_max**f
+        for t in range(1, t_max + 1):
+            n = a * t**e
+            ss = exponent_range(max(1, n - u_max), min(n + u_max, top), b, f)
+            candidates += ss.stop - ss.start
+            if candidates > MAX_CANDIDATES:
+                break  # past the cap; a walk over y hands over to the walk over x
+            for s in ss:
+                if d := sign * (n - b * s**f):
+                    found.append((t, s, d) if sign > 0 else (s, t, d))
+        else:
+            found.sort(key=lambda xyd: (xyd[0], abs(xyd[2]), xyd[2] < 0, xyd[1]))
+            return [EquationSolution(x, y, abs(d), "+" if d > 0 else "-") for x, y, d in found]
+    raise BudgetExceeded(f"u_max = {u_max} gives {candidates} candidates by x = {t}, "
+                         f"above the cap of {MAX_CANDIDATES}")

@@ -47,9 +47,6 @@ class PrimeWitness(Record):
         psq = self.p * self.p
         return (self.u * pow(self.x, self.k, psq) + self.v - self.p) % psq == 0
 
-    def to_json(self) -> dict:
-        return {"k": self.k, "u": self.u, "v": self.v, "p": self.p, "x": self.x}
-
 
 def hensel_step(k: int, u: int, v: int, p: int, x: int) -> int:
     """Lift a root of u*X**k + v (mod p) to X with u*X**k + v = p (mod p**2).
@@ -131,12 +128,8 @@ class CongruenceSystem(Record):
     solution: int
 
     def to_json(self) -> dict:
-        return {
-            "i0": self.i0, "j0": self.j0, "window": self.window,
-            "d": self.d, "h": self.h,
-            "witnesses": [{"offset": l, **w.to_json()} for l, w in self.witnesses],
-            "modulus": self.modulus, "solution": self.solution,
-        }
+        witnesses = [{"offset": l, **w.to_json()} for l, w in self.witnesses]
+        return {**super().to_json(), "witnesses": witnesses}
 
 
 def build_congruence_system(i0: int, j0: int, window: int, d: int = 1, h: int = 1,
@@ -208,10 +201,6 @@ class ExclusionViolation(Record):
     j: int
     k: int               # the colliding i * k**j
 
-    def to_json(self) -> dict:
-        return {"offset": self.offset, "side": self.side,
-                "i": self.i, "j": self.j, "k": self.k}
-
 
 class ExclusionReport(Record):
     center: int
@@ -224,10 +213,7 @@ class ExclusionReport(Record):
         return not self.violations
 
     def to_json(self) -> dict:
-        return {"center": self.center, "window": self.window,
-                "family": [list(p) for p in self.family],
-                "holds": self.holds,
-                "violations": [v.to_json() for v in self.violations]}
+        return {**super().to_json(), "holds": self.holds}
 
 
 def verify_exclusions(q: int, i0: int, j0: int, window: int,
@@ -265,13 +251,9 @@ class ForgeCertificate(Record):
     retries: int
 
     def to_json(self) -> dict:
-        return {
-            "system": self.system.to_json(),
-            "q": self.q,
-            "q_primality": primality_certainty(self.q),
-            "retries": self.retries,
-            "exclusions": self.report.to_json(),
-        }
+        obj = super().to_json()
+        obj["exclusions"] = obj.pop("report")
+        return {**obj, "q_primality": primality_certainty(self.q)}
 
 
 def build_certificate(i0: int, j0: int, window: int, family, d: int = 1, h: int = 1,

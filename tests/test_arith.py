@@ -82,11 +82,20 @@ def test_int_nth_root_examples():
     assert int_nth_root(0, 5) == (0, True)
 
 
-@given(st.integers(min_value=0, max_value=10**36), st.integers(min_value=1, max_value=12))
+@given(st.integers(min_value=0, max_value=2**4096 - 1), st.integers(min_value=1, max_value=64))
 def test_int_nth_root_brackets(n, k):
     root, exact = int_nth_root(n, k)
     assert root**k <= n < (root + 1) ** k
     assert exact == (root**k == n)
+
+
+@given(st.integers(min_value=2, max_value=2**256), st.integers(min_value=2, max_value=64))
+def test_int_nth_root_at_a_perfect_power_and_its_neighbours(r, k):
+    # Newton's result is returned as it is, so the floor must be right on both
+    # sides of an exact power.
+    assert int_nth_root(r**k - 1, k) == (r - 1, False)
+    assert int_nth_root(r**k, k) == (r, True)
+    assert int_nth_root(r**k + 1, k) == (r, False)
 
 
 def test_is_exponent_image_examples():
@@ -265,6 +274,24 @@ def test_package_records_keep_their_dataclass_signatures():
         params = inspect.signature(found[name]).parameters.values()
         assert [(p.name, ... if p.default is p.empty else p.default)
                 for p in params] == list(fields.items()), name
+
+
+class _Labelled(Record):
+    label: str
+    point: _Point
+    pairs: tuple[tuple[int, int], ...]
+
+    def to_json(self) -> dict:
+        return {**super().to_json(), "label": self.label.upper(), "size": len(self.pairs)}
+
+
+def test_record_to_json_gives_the_fields_by_name():
+    assert _Point(1, 3).to_json() == {"x": 1, "y": 3, "weight": Fraction(0)}
+    obj = _Labelled("a", _Point(1), ((1, 2), (3, (4, 5))))
+    assert obj.to_json() == {"label": "A", "point": {"x": 1, "y": 2, "weight": Fraction(0)},
+                             "pairs": [[1, 2], [3, [4, 5]]], "size": 2}
+    # a nested record's override is used as well
+    assert _Labelled("b", _Point(2), ((obj,),)).to_json()["pairs"] == [[obj.to_json()]]
 
 
 def test_kinds_do_not_share_a_defaults_dict():

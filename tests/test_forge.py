@@ -193,6 +193,13 @@ def test_verify_exclusions_violation():
     assert 3**2 - 1 == 1 * 2**3
 
 
+def test_violation_report_json():
+    # pinned before the report fields were derived from Record
+    assert verify_exclusions(3, 1, 2, 2, [(1, 3)]).to_json() == {
+        "center": 9, "window": 2, "family": [[1, 3]], "holds": False,
+        "violations": [{"offset": 1, "side": "-", "i": 1, "j": 3, "k": 2}]}
+
+
 def test_verify_exclusions_empty_window():
     assert verify_exclusions(227, 1, 2, 1, [(1, 2)]).holds
 
