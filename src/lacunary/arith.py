@@ -40,13 +40,15 @@ _TRIAL_LIMIT = 10**4
 # prime factor below _TRIAL_LIMIT is prime.
 _SIEVED_BOUND = 10007**2
 # From this size up, is_prime tests half of the rounds after base 2 in a
-# forked child. On a 2-core Xeon with Python 3.11, fork, pipe and reaping
+# forked child. On a 2-core Xeon with Python 3.11, a fork and its reaping
 # cost 1-2 ms, and with both processes pinned the split won 0 of 30 pairs
 # against the serial rounds at 128 bits, 21 at 192 bits (by a tenth) and 24
 # at 256 bits (by a fifth, 17 -> 13 ms). The cost of a fork grows with the
 # parent's memory, so the bound stays above the break-even.
 _SPLIT_BITS = 256
 _SIGKILL = 9  # fixed by POSIX; naming it spares the CLI's start an import of signal
+# The exit statuses by which the forked child reports its half of the rounds.
+_PRIME_STATUS, _COMPOSITE_STATUS = 100, 101
 
 DEFAULT_FACTOR_BUDGET = 2_000_000
 
@@ -57,6 +59,12 @@ class BudgetExceeded(Exception):
 
 class SquareD(ValueError):
     """The Pell parameter D is a perfect square, so x**2 - D*y**2 = 1 is trivial."""
+
+
+def check_cap(name: str, value: int, cap: int) -> None:
+    """Raise BudgetExceeded, naming the input, when value is above cap."""
+    if value > cap:
+        raise BudgetExceeded(f"{name} = {value} is above the cap of {cap}")
 
 
 class Record:
@@ -190,57 +198,43 @@ def _split_rounds(witness, bases: tuple[int, ...], cpus: set[int]) -> bool:
 
     The process keeps min(cpus) and the child runs on the rest, both pinned
     until the child is reaped: left to the scheduler, a fresh child can share
-    its parent's CPU for tens of milliseconds. If the parent's own half finds
-    a witness, it kills the child. It reaps the child and restores its CPU set
-    in every case, and when the child dies or writes nothing it tests that
-    half itself. If pipe, fork or pinning fails, all the rounds run here.
+    its parent's CPU for tens of milliseconds. The child leaves by os._exit,
+    which runs no atexit handler and flushes no stdio buffer it shares with
+    the parent, with _PRIME_STATUS or _COMPOSITE_STATUS as its verdict. If the
+    parent's own half finds a witness, it kills the child. It reaps the child
+    and restores its CPU set in every case, and tests the child's half itself
+    when the child ends any other way (an exception, a signal, status 0). If
+    fork or pinning fails, all the rounds run here.
     """
     half = len(bases) // 2
     home = min(cpus)
     try:
         try:
             os.sched_setaffinity(0, {home})
-            pid, read_fd = _fork_rounds(witness, bases[half:], cpus - {home})
+            pid = os.fork()
         except OSError:
             return not any(map(witness, bases))
-        answer = b""
+        if pid == 0:
+            status = 1
+            try:
+                os.sched_setaffinity(0, cpus - {home})
+                status = _COMPOSITE_STATUS if any(map(witness, bases[half:])) else _PRIME_STATUS
+            finally:
+                os._exit(status)
+        status = None
         try:
             if any(map(witness, bases[:half])):
                 return False
-            answer = os.read(read_fd, 1)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         finally:
-            if not answer:
+            if status is None:
                 os.kill(pid, _SIGKILL)
-            os.close(read_fd)
-            os.waitpid(pid, 0)
+                os.waitpid(pid, 0)
     finally:
         os.sched_setaffinity(0, cpus)
-    return answer == b"p" if answer else not any(map(witness, bases[half:]))
-
-
-def _fork_rounds(witness, bases: tuple[int, ...], cpus: set[int]) -> tuple[int, int]:
-    """Fork a child that tests bases on cpus and writes b"c" (a witness found)
-    or b"p" to a pipe; the child's pid and the pipe's read end.
-
-    The child leaves by os._exit, so it runs no atexit handler and flushes no
-    stdio buffer that it shares with the parent.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            os.sched_setaffinity(0, cpus)
-            os.write(write_fd, b"c" if any(map(witness, bases)) else b"p")
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    return pid, read_fd
+    if status in (_PRIME_STATUS, _COMPOSITE_STATUS):
+        return status == _PRIME_STATUS
+    return not any(map(witness, bases[half:]))
 
 
 def primality_certainty(n: int) -> str:
@@ -488,17 +482,22 @@ class PellSolution(Record):
             raise ValueError(f"({self.x}, {self.y}) does not solve x^2 - {self.D} y^2 = 1")
 
 
+def require_nonsquare(D: int) -> None:
+    """Raise ValueError unless D >= 1, and SquareD when D is a perfect square."""
+    if D < 1:
+        raise ValueError("D must be positive")
+    if int_nth_root(D, 2)[1]:
+        raise SquareD(f"{D} is a perfect square")
+
+
 def pell_fundamental(D: int, y_max: int | None = None) -> PellSolution | None:
     """Least positive solution of x**2 - D*y**2 = 1 via the continued fraction of sqrt(D).
 
     Given y_max, None when the solution's y exceeds it: its y is a convergent
     denominator, and those never decrease, so the walk stops past y_max.
     """
-    if D < 1:
-        raise ValueError("D must be positive")
-    a0, exact = int_nth_root(D, 2)
-    if exact:
-        raise SquareD(f"{D} is a perfect square")
+    require_nonsquare(D)
+    a0 = math.isqrt(D)
     m, den, a = 0, 1, a0
     h_prev, h = 1, a0
     k_prev, k = 0, 1

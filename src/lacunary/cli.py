@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, dependence, forge, relations, series, sets
-from .arith import BudgetExceeded
+from .arith import BudgetExceeded, check_cap
 from .series import CoeffFn, FixedPointValue, GUARD_DIGITS, LinearFormSpec, SeriesSpec, fraction_sci
 
 EXIT_OK = 0
@@ -363,6 +363,7 @@ def _run_diophantine(f: dict):
 
 def _run_hunt(f: dict):
     base, coeff_bound, precision = f["base"], f["coeff_bound"], f["precision"]
+    check_cap("precision", precision, series.MAX_DIGITS)
     values = tuple(series.eval_series(v, base, precision) if isinstance(v, SeriesSpec)
                    else FixedPointValue.from_int(v, base, precision + GUARD_DIGITS)
                    if isinstance(v, int) else v for v in f["values"])

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 # The Pell core lives in arith, below both this module and sets; SquareD,
 # pell_fundamental and pell_iter stay importable from here for existing callers.
-from .arith import (BudgetExceeded, Record, SquareD,  # noqa: F401
+from .arith import (BudgetExceeded, Record, SquareD, check_cap,  # noqa: F401
                     exponent_range, factor, int_nth_root, pell_fundamental, pell_iter)
 from .series import MAX_DIGITS, CoeffFn, LinearFormSpec, SeriesSpec, eval_linear_form, fraction_sci
 from .sets import ExponentSet, geometric, pell_x, pell_y
@@ -194,8 +194,7 @@ def build_counterexample(pair1: tuple[int, int], pair2: tuple[int, int],
             f"pair {pair1}, {pair2}: no collision and not two square exponents"
         )
 
-    if precision > MAX_DIGITS:  # eval_linear_form's cap, under this function's name for it
-        raise BudgetExceeded(f"precision = {precision} is above the cap of {MAX_DIGITS}")
+    check_cap("precision", precision, MAX_DIGITS)  # eval_linear_form's cap, under this name
     value = eval_linear_form(_pair_form(b, weights, (pair1, set1), (pair2, set2)), precision)
     return DependencyCertificate(kind, pair1, pair2, set1, set2, weights, b,
                                  precision, abs(value.to_fraction()),
@@ -234,8 +233,7 @@ def enumerate_equation_solutions(i0: int, j0: int, i: int, j: int,
     """
     if u_max < 1 or x_max < 1:
         raise ValueError("u_max and x_max must be >= 1")
-    if x_max > MAX_X:
-        raise BudgetExceeded(f"x_max = {x_max} is above the cap of {MAX_X}")
+    check_cap("x_max", x_max, MAX_X)
     y_max = int_nth_root((i0 * x_max**j0 + u_max) // i, j)[0]
     # (coefficient, exponent, last value, sign of i0*x**j0 - i*y**j from this side)
     x_side, y_side = (i0, j0, x_max, 1), (i, j, y_max, -1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .arith import (BudgetExceeded, Record, crt_solve, exponent_range, factor, is_prime,
+from .arith import (BudgetExceeded, Record, check_cap, crt_solve, exponent_range, factor, is_prime,
                     primality_certainty, trial_product)
 
 DEFAULT_SCAN_LIMIT = 200_000
@@ -149,10 +149,8 @@ def build_congruence_system(i0: int, j0: int, window: int, d: int = 1, h: int = 
         raise ValueError("window must be >= 1")
     if d < 1 or h < 1 or math.gcd(d, h) != 1:
         raise ValueError("need positive d, h with gcd(d, h) = 1")
-    if window > MAX_WINDOW:
-        raise BudgetExceeded(f"N = {window} is above the cap of {MAX_WINDOW}")
-    if j0 > MAX_J0:
-        raise BudgetExceeded(f"j0 = {j0} is above the cap of {MAX_J0}")
+    check_cap("N", window, MAX_WINDOW)
+    check_cap("j0", j0, MAX_J0)
 
     floor = max(p_min, window)
     used = {p for p, _ in factor(d).factors}

@@ -11,7 +11,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rou
 from fractions import Fraction
 from functools import cache, lru_cache
 
-from .arith import BudgetExceeded, Record, exponent_images, exponent_range, int_nth_root
+from .arith import BudgetExceeded, Record, check_cap, exponent_images, exponent_range, int_nth_root
 from .sets import ExponentSet
 
 # Guard digits appended beyond the requested precision; keeps carry
@@ -247,14 +247,9 @@ def _tail_bound(spec: SeriesSpec, b: int, scale: int, members: list[int]) -> Fra
     return Fraction(spec.coeff.bound, (b - 1) * _unit(b, scale))
 
 
-def _check_cap(digits: int) -> None:
-    if digits > MAX_DIGITS:
-        raise BudgetExceeded(f"digits = {digits} is above the cap of {MAX_DIGITS}")
-
-
 def eval_linear_form(form: LinearFormSpec, digits: int) -> FixedPointValue:
     """constant + weighted series values, with error bounds accumulated."""
-    _check_cap(digits)
+    check_cap("digits", digits, MAX_DIGITS)
     scale = digits + GUARD_DIGITS
     mantissa = form.constant * _unit(form.base, scale) if form.constant else 0
     error = Fraction(0)
@@ -299,7 +294,7 @@ def leading_digits(form: LinearFormSpec, digits: int,
     least linearly in the scale, so it costs at most about a quarter more
     than the full job.
     """
-    _check_cap(digits)
+    check_cap("digits", digits, MAX_DIGITS)
     if count < 1:
         raise ValueError("count must be >= 1")
     scale = digits + GUARD_DIGITS

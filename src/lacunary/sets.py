@@ -10,7 +10,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Callable, Iterable
 
-from .arith import Record, SquareD, factor, int_nth_root, is_prime, pell_iter, prime_sieve
+from .arith import Record, factor, is_prime, pell_iter, prime_sieve, require_nonsquare
 
 
 class ExponentSet(Record):
@@ -98,22 +98,15 @@ def geometric(u: int, j: int, min_value: int = 1) -> ExponentSet:
     return ExponentSet("geometric", u=u, j=j, min_value=min_value)
 
 
-def _require_nonsquare(D: int) -> None:
-    if D < 1:
-        raise ValueError("D must be positive")
-    if int_nth_root(D, 2)[1]:
-        raise SquareD(f"{D} is a perfect square")
-
-
 def pell_x(D: int, min_value: int = 1) -> ExponentSet:
     """First coordinates x of the positive solutions of x^2 - D y^2 = 1."""
-    _require_nonsquare(D)
+    require_nonsquare(D)
     return ExponentSet("pell_x", D=D, min_value=min_value)
 
 
 def pell_y(D: int, scale: int = 1, min_value: int = 1) -> ExponentSet:
     """Scaled second coordinates scale*y of the solutions of x^2 - D y^2 = 1."""
-    _require_nonsquare(D)
+    require_nonsquare(D)
     if scale < 1:
         raise ValueError("scale must be positive")
     return ExponentSet("pell_y", D=D, scale=scale, min_value=min_value)

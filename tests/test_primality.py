@@ -11,13 +11,14 @@ shortcuts replaced.
 
 From ``_SPLIT_BITS`` bits a forked child tests half of the rounds after base
 2. The tests of that split hold on one CPU too, where every round runs in
-process; the three that need the child skip there.
+process; the five that need the child skip there.
 """
 
 import functools
 import math
 import os
 import random
+import signal
 import threading
 import time
 
@@ -327,3 +328,32 @@ def test_a_child_that_writes_nothing_is_retested(monkeypatch):
     fake_last = True
     assert not _checked_is_prime(n)
     assert len(forks) == 2
+
+
+@needs_split
+@pytest.mark.parametrize("end", ["killed", "raises"])
+def test_a_child_with_no_verdict_is_retested(end, monkeypatch):
+    # The child dies by SIGKILL in its first round, or that round raises, so
+    # its exit status is no verdict and the parent tests the child's half
+    # itself: the real rounds find both primes prime, and a witness faked
+    # among the parent's retested bases makes M521 composite.
+    n = MERSENNE_PRIMES[0]
+    rng = random.Random(n)
+    last = [rng.randrange(2, n - 1) for _ in range(64)][-1]
+    parent, real = os.getpid(), arith._is_witness
+    fake_last = False
+
+    def witness(*args):
+        if os.getpid() != parent:
+            if end == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("a round failed")
+        return (fake_last and args[-1] == last) or real(*args)
+
+    monkeypatch.setattr(arith, "_is_witness", witness)
+    forks = _count_forks(monkeypatch)
+    for m in (n, _forge_prime(24)):
+        assert _checked_is_prime(m) == ref_is_prime(m)
+    fake_last = True
+    assert not _checked_is_prime(n)
+    assert len(forks) == 3
