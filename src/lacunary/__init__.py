@@ -59,14 +59,15 @@ from .relations import (
 from .series import (
     CoeffFn,
     FixedPointValue,
+    FormDigits,
     LinearFormSpec,
     SeriesSpec,
     coefficient_at,
     eval_linear_form,
     eval_series,
     exclusion_window_check,
+    form_digits,
     gap_scan,
-    leading_digits,
     render_digits,
 )
 from .sets import (

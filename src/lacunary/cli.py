@@ -298,27 +298,28 @@ def _form(f: dict) -> LinearFormSpec:
 
 
 def _run_eval(f: dict):
-    value = series.eval_linear_form(_form(f), f["digits"])
-    rendering = series.render_digits(value, f["digits"])
+    value = series.form_digits(_form(f), f["digits"])
+    rendering = value.rendering(f["digits"])
     return {
         "value_digits": rendering.digits,
         "uncertain_positions": list(rendering.uncertain),
-        "sign": "-" if value.mantissa < 0 else "+",
-        "decimal": value.to_decimal(min(f["digits"], 48)),
-        "error_bound": fraction_sci(value.error_bound),
-        "exact": value.is_exact,
+        "sign": "-" if value.negative else "+",
+        "decimal": value.decimal(min(f["digits"], 48)),
+        "error_bound": value.error_sci(),
+        "exact": not value.mass,
         "base": f["base"],
-        "scale": value.scale,
+        "scale": len(value.fraction),
     }, "ok", EXIT_OK
 
 
 def _run_digits(f: dict):
-    rendering, negative, error = series.leading_digits(_form(f), f["digits"], f["count"])
+    value = series.form_digits(_form(f), f["digits"])
+    rendering = value.rendering(f["count"])
     return {
         "digits": rendering.digits,
         "uncertain_positions": list(rendering.uncertain),
-        "sign": "-" if negative else "+",
-        "error_bound": fraction_sci(error),
+        "sign": "-" if value.negative else "+",
+        "error_bound": value.error_sci(),
     }, "ok", EXIT_OK
 
 

@@ -32,12 +32,10 @@ def _powers(b: int):
     return cache(lambda k: odd**k << s * k)
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _unit(b: int, scale: int) -> int:
     """b**scale, the denominator of a fixed-point value. A job's values
-    share one scale, except that a `digits` job may use two (a shallow one
-    and its full one, see `leading_digits`), so the last two are kept: one
-    job computes each once."""
+    share one scale, so the last one is kept: one job computes it once."""
     return _powers(b)(scale)
 
 
@@ -196,6 +194,68 @@ class LinearFormSpec(Record):
             raise ValueError("base must be >= 2")
 
 
+class FormDigits(Record):
+    """|V| = integer + 0.fraction in base `base`, for V a linear form's value
+    truncated at scale S = len(fraction), with `negative` its sign. The true
+    value lies within mass / ((b - 1) * b**S) of V; mass is 0 when V is exact.
+
+    Its methods give what `render_digits`, `FixedPointValue.to_decimal` and
+    `fraction_sci` give for the same value as a FixedPointValue.
+    """
+
+    base: int
+    negative: bool
+    integer: int
+    fraction: str
+    mass: int
+
+    def rendering(self, count: int) -> DigitRendering:
+        """The first `count` fractional digits, flagged as `render_digits`
+        flags them: the error's integer cover is floor(mass / (b - 1)) + 1
+        units of b**-S, and lo and hi, the value minus and plus it, differ
+        from the value only in a suffix that long and a carry or borrow run.
+        One that reaches the integer part flags every position; otherwise the
+        flags follow the common prefix of lo's and hi's first `count` digits.
+        """
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        if count > len(self.fraction):
+            raise ValueError("count exceeds the stored scale")
+        digits = self.fraction[:count]
+        if not self.mass:
+            return DigitRendering(digits, ())
+        spread = self.mass // (self.base - 1) + 1
+        return DigitRendering(digits, _flagged(self.fraction, self.base, -spread, spread, count))
+
+    def decimal(self, places: int) -> str:
+        """The value to `places` decimals, truncated toward zero.
+
+        A prefix A of k digits puts 10**places * 0.fraction in
+        [10**places * A, 10**places * (A + 1)) / b**k. When the floors of the
+        two ends agree that is the answer; else k doubles, up to k = S, where
+        A / b**k is exact.
+        """
+        b, fraction, ten = self.base, self.fraction, 10**places
+        k = min(len(fraction), places * 4 // (b.bit_length() - 1) + 20)
+        while True:
+            a, unit = parse_digits(fraction[:k], b), b**k
+            low = ten * a // unit
+            if k == len(fraction) or low == (ten * (a + 1) - 1) // unit:
+                break
+            k = min(2 * k, len(fraction))
+        return f"{'-' if self.negative else ''}{self.integer}.{low:0{places}d}"
+
+    def error_sci(self) -> str:
+        """`fraction_sci` of the error bound mass / ((b - 1) * b**S), without
+        b**S: with b = odd * 2**s it is odd**S << s*S, and odd**S is
+        bracketed."""
+        if not self.mass:
+            return "0"
+        b, scale = self.base, len(self.fraction)
+        s = (b & -b).bit_length() - 1
+        return _sci(self.mass, (b - 1) << s * scale, b >> s, scale, 3)
+
+
 def eval_series(spec: SeriesSpec, b: int, digits: int) -> FixedPointValue:
     """Evaluate the series at 1/b to `digits` fractional base-b digits.
 
@@ -228,7 +288,9 @@ def eval_series(spec: SeriesSpec, b: int, digits: int) -> FixedPointValue:
         runs = merged + runs[len(merged) * 2:]
     mantissa, last = runs[0] if runs else (0, scale)
     mantissa *= power(scale - last)
-    return FixedPointValue(b, mantissa, scale, _tail_bound(spec, b, scale, members))
+    bound = _open_bound(spec, members)
+    error = Fraction(bound, (b - 1) * _unit(b, scale)) if bound else Fraction(0)
+    return FixedPointValue(b, mantissa, scale, error)
 
 
 def _members_through(spec: SeriesSpec, scale: int) -> list[int]:
@@ -237,14 +299,14 @@ def _members_through(spec: SeriesSpec, scale: int) -> list[int]:
     return spec.set.members_up_to(n_cap) if n_cap >= 1 else []
 
 
-def _tail_bound(spec: SeriesSpec, b: int, scale: int, members: list[int]) -> Fraction:
-    """The truncation error of spec summed through `scale`, where `members`
-    are its members there: zero for an explicit set all of whose members
-    were summed, else bound / ((b - 1) * b**scale), the sum over m > scale
-    of bound * b**-m."""
+def _open_bound(spec: SeriesSpec, members: list[int]) -> int:
+    """spec's coefficient bound while its tail past `members`, its members
+    through some scale, is open: 0 for an explicit set all of whose members
+    were summed. Times 1 / ((b - 1) * b**scale), the sum over m > scale of
+    b**-m, it bounds the truncation error."""
     if spec.set.is_finite and members == spec.set.members_up_to(max(spec.set.members, default=1)):
-        return Fraction(0)
-    return Fraction(spec.coeff.bound, (b - 1) * _unit(b, scale))
+        return 0
+    return spec.coeff.bound
 
 
 def eval_linear_form(form: LinearFormSpec, digits: int) -> FixedPointValue:
@@ -260,58 +322,56 @@ def eval_linear_form(form: LinearFormSpec, digits: int) -> FixedPointValue:
     return FixedPointValue(form.base, mantissa, scale, error)
 
 
-def leading_digits(form: LinearFormSpec, digits: int,
-                   count: int) -> tuple[DigitRendering, bool, Fraction]:
-    """(render_digits(v, count), v.mantissa < 0, v.error_bound) for
-    v = eval_linear_form(form, digits), summing to the full scale only when
-    a shallow value cannot certify the digits (Ziv's strategy, 1991).
+def form_digits(form: LinearFormSpec, digits: int) -> FormDigits:
+    """The value of `eval_linear_form(form, digits)`, read from its members
+    without a mantissa.
 
-    The cap check, every term's members at the full scale S = digits +
-    GUARD_DIGITS and their coefficients come first, so the same errors are
-    raised in the same order; the full error bound is summed from
-    `_tail_bound` without summing any member. Then, when the shallow scale
-    S' = 2 * count + GUARD_DIGITS is at most S / 4, the form is evaluated at
-    S' and its first `count` digits rendered; if no position is flagged,
-    they are the full value's, with no position flagged, and the full value
-    has the shallow one's sign. Proof, with v', e' the shallow value and
-    error and v, e the full ones:
-    - v - v' is the weighted sum of the members with exponent in (S', S],
-      so |v - v'| is at most the shallow tail over (S', S]: the sum over
-      the terms still open at S' of |w| * bound * (b**-S' - b**-S) / (b - 1);
-    - that tail plus e equals e' (or is below it when an explicit set ends
-      in (S', S]), so the interval v +- e lies inside v' +- e';
-    - render_digits widens an error to its integer cover, floor(e * b**S) + 1
-      units of b**-S, which is at most e + b**-S. Since e' * b**S' = M / (b - 1)
-      for an integer M, the shallow cover floor(e' * b**S') + 1 is at least
-      e' * b**S' + 1 / (b - 1), so it reaches at least 1 / ((b - 1) * b**S')
-      >= b**-S beyond e'. So the full scale's integer cover lies inside the
-      shallow one, which sits inside one cell of width b**-count on one side
-      of zero: the digits, the sign and the empty flag list carry over. An
-      exact shallow value (e' = 0) leaves out only members of weight 0, so
-      it is v itself.
-    Otherwise the full value is evaluated and rendered as before. A failed
-    attempt adds one evaluation and rendering at S' <= S / 4; both grow at
-    least linearly in the scale, so it costs at most about a quarter more
-    than the full job.
+    After the cap check, members and coefficients are read term by term, each
+    term's members ascending, as eval_linear_form reads them, so a table miss
+    raises the same error at the same member. Each exponent e <= S = digits +
+    GUARD_DIGITS gets c_e, the sum of its weight * coefficient products. The
+    digits are then written from position S up with a signed carry: at e,
+    carry, d = divmod(c_e + carry, b); between exponents the carry shifts down
+    until it is 0 or -1, and the rest of the gap is one run of 0 or of b - 1.
+    The carry left at the end, plus the constant, is floor(V). The work is
+    the member count times the carry's length, plus the output.
     """
     check_cap("digits", digits, MAX_DIGITS)
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    scale = digits + GUARD_DIGITS
-    error = Fraction(0)
+    b, scale = form.base, digits + GUARD_DIGITS
+    coeffs: dict[int, int] = {}
+    mass = 0
     for w, spec in form.terms:
         members = _members_through(spec, scale)
         for n in members:
-            spec.coeff(n)  # a table miss raises here, at the member eval_series would name
-        error += abs(w) * _tail_bound(spec, form.base, scale, members)
-    shallow = 2 * count
-    if 4 * (shallow + GUARD_DIGITS) <= scale:
-        value = eval_linear_form(form, shallow)
-        rendering = render_digits(value, count)
-        if not rendering.uncertain:
-            return rendering, value.mantissa < 0, error
-    value = eval_linear_form(form, digits)
-    return render_digits(value, count), value.mantissa < 0, value.error_bound
+            e = spec.exponent(n)
+            coeffs[e] = coeffs.get(e, 0) + w * spec.coeff(n)
+        mass += abs(w) * _open_bound(spec, members)
+    if b > len(_DIGIT_CHARS):
+        raise ValueError(f"digit rendering supports bases up to {len(_DIGIT_CHARS)}")
+
+    top = _DIGIT_CHARS[b - 1]
+    chunks = []  # least significant first
+    carry, pos = 0, scale
+    for e in sorted(coeffs, reverse=True) + [0]:  # 0 ends the last gap at position 1
+        while pos > e and carry not in (0, -1):
+            carry, d = divmod(carry, b)
+            chunks.append(_DIGIT_CHARS[d])
+            pos -= 1
+        chunks.append((top if carry else "0") * (pos - e))
+        if e:
+            carry, d = divmod(coeffs[e] + carry, b)
+            chunks.append(_DIGIT_CHARS[d])
+        pos = e - 1
+    fraction = "".join(reversed(chunks))
+    whole = carry + form.constant  # floor(V)
+    body = fraction.rstrip("0")
+    if whole >= 0 or not body:
+        return FormDigits(b, whole < 0, abs(whole), fraction, mass)
+    # |V| = -whole - 1 + (1 - 0.fraction): complement the digits, add one unit
+    complement = str.maketrans(_DIGIT_CHARS[:b], _DIGIT_CHARS[b - 1::-1])
+    fraction = (body[:-1].translate(complement) + _DIGIT_CHARS[b - int(body[-1], b)]
+                + fraction[len(body):])
+    return FormDigits(b, True, -whole - 1, fraction, mass)
 
 
 def coefficient_at(form: LinearFormSpec, n: int) -> int:
@@ -400,17 +460,20 @@ def fraction_sci(fr: Fraction, sig: int = 3) -> str:
     """Compact scientific-notation rendering of an exact fraction."""
     if fr == 0:
         return "0"
-    sign = "-" if fr < 0 else ""
-    f = -fr if fr < 0 else fr
-    num, den = f.numerator, f.denominator
-    # Within one of floor(log10 f), from the bit lengths (30103 / 10**5 is
-    # log10 2 to five places). floor(f * 10**(sig - e)), which `_scaled_floor`
-    # finds without a power of ten as large as den, gives the sig leading
-    # digits at exponent e - 1 and, after dropping trailing digits, at the
-    # exponents above it.
-    e = (num.bit_length() - den.bit_length()) * 30103 // 100000
+    return ("-" if fr < 0 else "") + _sci(abs(fr.numerator), fr.denominator, 1, 0, sig)
+
+
+def _sci(num: int, den: int, odd: int, k: int, sig: int) -> str:
+    """`fraction_sci` of f = num / (den * odd**k) > 0, with odd**k bracketed."""
+    # Within one of floor(log10 f), from the bit lengths, that of odd**k read
+    # from its bracket (30103 / 10**5 is log10 2 to five places).
+    # floor(f * 10**(sig - e)), which `_scaled_floor` finds without a power of
+    # ten as large as den, gives the sig leading digits at exponent e - 1 and,
+    # after dropping trailing digits, at the exponents above it.
+    lo, _, t = _pow_bounds(odd, k) if k else (1, 1, 0)
+    e = (num.bit_length() - den.bit_length() - t - lo.bit_length() + 1) * 30103 // 100000
     while True:
-        scaled = _scaled_floor(num, den, sig - e)
+        scaled = _scaled_floor(num, den, sig - e, odd, k)
         if scaled >= 10 ** (sig - 1):
             break
         e -= 1
@@ -419,24 +482,24 @@ def fraction_sci(fr: Fraction, sig: int = 3) -> str:
         scaled //= 10
         e += 1
     digits = str(scaled)
-    return f"{sign}{digits[0]}.{digits[1:]}e{e:+d}"
+    return f"{digits[0]}.{digits[1:]}e{e:+d}"
 
 
-# Bits kept by each bound of 5**k in `_pow5_bounds`.
+# Bits kept by each bound of base**k in `_pow_bounds`.
 _BOUND_BITS = 128
 
 
-def _pow5_bounds(k: int) -> tuple[int, int, int]:
-    """(lo, hi, t) with lo * 2**t <= 5**k <= hi * 2**t and lo, hi of at most
-    _BOUND_BITS bits: binary powering on both bounds at once, truncating lo
-    down and rounding hi up after each product. hi / lo - 1 stays below about
-    k * 2**-126."""
+def _pow_bounds(base: int, k: int) -> tuple[int, int, int]:
+    """(lo, hi, t) with lo * 2**t <= base**k <= hi * 2**t and lo, hi of at
+    most _BOUND_BITS bits, for a base of a few bits: binary powering on both
+    bounds at once, truncating lo down and rounding hi up after each product.
+    hi / lo - 1 stays below about k * 2**-126."""
     def trim(lo: int, hi: int, t: int) -> tuple[int, int, int]:
         drop = max(hi.bit_length() - _BOUND_BITS, 0)
         return lo >> drop, -(-hi >> drop), t + drop
 
     lo, hi, t = 1, 1, 0
-    sq_lo, sq_hi, sq_t = 5, 5, 0  # bounds of 5**(2**i) at the i-th bit of k
+    sq_lo, sq_hi, sq_t = base, base, 0  # bounds of base**(2**i) at the i-th bit of k
     while k:
         if k & 1:
             lo, hi, t = trim(lo * sq_lo, hi * sq_hi, t + sq_t)
@@ -446,27 +509,32 @@ def _pow5_bounds(k: int) -> tuple[int, int, int]:
     return lo, hi, t
 
 
-def _scaled_floor(num: int, den: int, shift: int) -> int:
-    """floor(num * 10**shift / den) for positive num and den.
+def _scaled_floor(num: int, den: int, shift: int, odd: int, k: int) -> int:
+    """floor(num * 10**shift / (den * odd**k)) for positive num, den and odd.
 
-    10**shift is 5**shift * 2**shift, and `_pow5_bounds` brackets 5**|shift|,
-    so two divisions of numbers the size of num and den, with a quotient of a
-    few digits, bound the result from below and above. When the two agree,
-    that is the result, and no power of ten is built. They differ only when
-    the quotient lies within a relative 2**-100 or so of an integer, as at
-    an exact boundary such as num / den = 1.23 * 10**-shift; then the exact
-    power is taken.
+    10**shift is 5**shift * 2**shift, and `_pow_bounds` brackets 5**|shift|
+    and odd**k, so two divisions of numbers the size of num and den, with a
+    quotient of a few digits, bound the result from below and above. When
+    the two agree, that is the result, and neither power is built. They
+    differ only when the quotient lies within a relative 2**-100 or so of an
+    integer, as at an exact boundary such as num / den = 1.23 * 10**-shift;
+    then the exact powers are taken.
     """
-    k = abs(shift)
-    lo, hi, t = _pow5_bounds(k)
-    if shift >= 0:
-        low, high = (num * lo << (t + k)) // den, (num * hi << (t + k)) // den
+    p = abs(shift)
+    lo5, hi5, t5 = _pow_bounds(5, p)
+    lo, hi, t = _pow_bounds(odd, k) if k else (1, 1, 0)
+    if shift >= 0:  # num * 5**p * 2**z / (den * odd**k)
+        a_lo, a_hi, d_lo, d_hi, z = num * lo5, num * hi5, den * lo, den * hi, t5 + p - t
     else:
-        low, high = num // (den * hi << (t + k)), num // (den * lo << (t + k))
+        a_lo, a_hi, d_lo, d_hi, z = num, num, den * lo5 * lo, den * hi5 * hi, -(t5 + p + t)
+    if z >= 0:
+        low, high = (a_lo << z) // d_hi, (a_hi << z) // d_lo
+    else:
+        low, high = a_lo // (d_hi << -z), a_hi // (d_lo << -z)
     if low == high:
         return low
-    ten = _powers(10)(k)
-    return num * ten // den if shift >= 0 else num // (den * ten)
+    ten, big = _powers(10)(p), _powers(odd)(k)
+    return num * ten // (den * big) if shift >= 0 else num // (den * ten * big)
 
 
 def render_digits(v: FixedPointValue, count: int) -> DigitRendering:
@@ -476,12 +544,9 @@ def render_digits(v: FixedPointValue, count: int) -> DigitRendering:
     could change it, i.e. the digit prefix differs between value - error and
     value + error (carry propagation included).
 
-    Only the value's digits are converted. The flagged positions are the
-    last t, for the least t with lo // b**t == hi // b**t, where lo and hi
-    are the truncations of value - error and value + error to `count`
-    digits; t is found by doubling from 1 and then bisection, reading the
-    value's digit suffixes. A carry run through the flagged digits makes t
-    large, not wrong.
+    Only the value's digits are converted: lo and hi, the truncations of
+    value - error and value + error to `count` digits, are read as offsets
+    from them (`_flagged`).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -493,8 +558,8 @@ def render_digits(v: FixedPointValue, count: int) -> DigitRendering:
     b = v.base
     power = _powers(b)
     unit, step = _unit(b, v.scale), power(v.scale - count)
-    m = abs(v.mantissa)
-    x = m % unit // step
+    rest = abs(v.mantissa) % unit
+    x = rest // step
     digit_str = _base_digits(x, b, count, power)
 
     if v.error_bound == 0:
@@ -503,41 +568,53 @@ def render_digits(v: FixedPointValue, count: int) -> DigitRendering:
     # Integer cover of the error: floor(error * b**scale) + 1.
     error = v.error_bound
     spread = error.numerator * unit // error.denominator + 1
-    lo_int, lo = divmod(m - spread, unit)
-    hi_int, hi = divmod(m + spread, unit)
-    if lo_int != hi_int:  # also when value - error < 0, as hi_int >= 0
-        return DigitRendering(digit_str, tuple(range(1, count + 1)))
-    t = _flagged_count(digit_str, x - lo // step, hi // step - x, b, power)
-    return DigitRendering(digit_str, tuple(range(count - t + 1, count + 1)))
+    return DigitRendering(digit_str, _flagged(digit_str, b, (rest - spread) // step - x,
+                                              (rest + spread) // step - x, count))
 
 
-def _flagged_count(digits: str, below: int, above: int, b: int, power) -> int:
-    """The least t with (x - below) // b**t == (x + above) // b**t, where
-    `digits` are the base-b digits of x and t = len(digits) is known to hold.
+def _flagged(digits: str, b: int, low: int, high: int, count: int) -> tuple[int, ...]:
+    """The positions among the first `count` where the base-b digits of
+    x + low and x + high differ, `digits` being those of x; every position
+    when either leaves [0, b**len(digits)), as a carry out of the fraction
+    changes the integer part."""
+    lo, hi = _offset(digits, b, low), _offset(digits, b, high)
+    same = 0 if lo is None or hi is None else _common_prefix(lo[:count], hi[:count])
+    return tuple(range(same + 1, count + 1))
 
-    With r the value of the last t digits, that holds iff r >= below and
-    r + above < b**t, and then for every larger t too. Doubling from t = 1
-    brackets it, bisection finds it; r is read from the digit string, so a
-    test costs the length of the suffix, not of x.
+
+def _offset(fraction: str, b: int, delta: int) -> str | None:
+    """The base-b digits of x + delta, where `fraction` holds those of x, at
+    its width; None when x + delta leaves [0, b**width).
+
+    Only a suffix one digit longer than |delta| is converted. A carry out of
+    it runs through the b - 1 digits before it and a borrow through the 0
+    digits, each one slice of the string.
     """
-    def holds(t: int) -> bool:
-        r = parse_digits(digits[-t:], b) if t else 0
-        return r >= below and r + above < power(t)
+    width = min(len(fraction), abs(delta).bit_length() // (b.bit_length() - 1) + 2)
+    head, power = fraction[:-width], _powers(b)
+    carry, low = divmod(parse_digits(fraction[-width:], b) + delta, power(width))
+    if carry:
+        top = _DIGIT_CHARS[b - 1]
+        run, fill = (top, "0") if carry > 0 else ("0", top)
+        keep = len(head.rstrip(run))
+        if not keep:
+            return None
+        head = (head[:keep - 1] + _DIGIT_CHARS[int(head[keep - 1], b) + carry]
+                + fill * (len(head) - keep))
+    return head + _base_digits(low, b, width, power)
 
-    if holds(0):
-        return 0
-    count = len(digits)
-    fails, good = 0, 1
-    while good < count and not holds(good):
-        fails, good = good, 2 * good
-    good = min(good, count)
-    while good - fails > 1:
-        mid = (fails + good) // 2
-        if holds(mid):
-            good = mid
+
+def _common_prefix(x: str, y: str) -> int:
+    """The length of the common prefix of two strings of one length, by
+    bisection on slice comparisons."""
+    same, differ = 0, len(x) + 1
+    while differ - same > 1:
+        mid = (same + differ) // 2
+        if x[same:mid] == y[same:mid]:
+            same = mid
         else:
-            fails = mid
-    return good
+            differ = mid
+    return same
 
 
 # Digits converted by the plain divmod loop at the leaves of the recursion.

@@ -94,6 +94,13 @@ def brute_render_digits(v, count: int) -> tuple[str, tuple[int, ...]]:
     return digits, ()
 
 
+def brute_magnitude(v) -> tuple[bool, int, str]:
+    """(mantissa < 0, integer part, all `scale` fractional digits) of |v|:
+    divmod(|mantissa|, b**scale), then one divmod per digit."""
+    integer, rest = divmod(abs(v.mantissa), v.base**v.scale)
+    return v.mantissa < 0, integer, brute_digit_string(rest, v.base, v.scale)
+
+
 # Digits converted by the plain divmod loop at the leaves of ref_base_digits.
 _LEAF_DIGITS = 128
 

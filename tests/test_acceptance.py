@@ -47,6 +47,7 @@ from oracles import (
     brute_pell_fundamental,
     brute_series_mantissa,
     sieve_primes,
+    sieve_squarefree,
 )
 
 
@@ -218,7 +219,7 @@ def test_c9_refinement_soundness():
 def test_c10_digits_at_scale():
     # Two dense positive terms: sum over n of b**-(n*n), plus twice the same
     # sum over primes n.  (base, digits, count): a full 20000-digit render and
-    # the deep base-3 job whose work is the series evaluation.
+    # a deep base-3 job that reads 64 of its 100016 digits.
     jobs = [(10, 20000, 20000), (3, 100000, 64)]
     terms = [{"i": 1, "j": 2, "set": {"kind": "naturals"}},
              {"weight": 2, "i": 1, "j": 2, "set": {"kind": "primes"}}]
@@ -339,3 +340,42 @@ def test_c14_diophantine_short_side_at_scale():
     brute = sorted(brute_equation_solutions(1, 2, 1, 3, 200, 10**5),
                    key=lambda s: (s[0], s[2], s[3] != "+"))
     assert [(s.x, s.y, s.u, s.sign) for s in got] == brute
+
+
+def test_c15_eval_at_the_digits_cap():
+    # digits = 10**6, the cap: one dense term, sum over n of b**-(n*n), in
+    # bases 2, 3 and 10, and naturals + 2 primes - 3 squarefree at i = 2,
+    # j = 3 in base 10, which is negative.
+    digits = 10**6
+    dense = [{"i": 1, "j": 2, "set": {"kind": "naturals"}}]
+    mixed = [{"weight": w, "i": 2, "j": 3, "set": {"kind": kind}}
+             for w, kind in ((1, "naturals"), (2, "primes"), (-3, "squarefree"))]
+    jobs = [(2, dense), (3, dense), (10, dense), (10, mixed)]
+    with criterion(15, "eval at the 10^6-digit cap in bases 2, 3 and 10", 2.0):
+        reports = [run_job("eval", {"base": b, "digits": digits, "terms": terms})
+                   for b, terms in jobs]
+    # The first `width` digits against the brute mantissa to `depth`, the
+    # first exponent past them whose coefficient b does not divide: the
+    # members past depth move the value by less than one unit there, and the
+    # unit's digit is not 0, so neither a borrow nor a carry reaches the window.
+    width = 5000
+    for (b, terms), (report, code) in zip(jobs, reports):
+        assert code == EXIT_OK
+        result = report["result"]
+        assert len(result["value_digits"]) == digits
+        assert result["sign"] == ("+" if terms is dense else "-")
+        parts = ([(1, 1, 2, range(1, 100))] if terms is dense else
+                 [(1, 2, 3, range(1, 100)), (2, 2, 3, sieve_primes(100)),
+                  (-3, 2, 3, sieve_squarefree(100))])
+        at: dict[int, int] = {}
+        for w, i, j, members in parts:
+            for n in members:
+                at[i * n**j] = at.get(i * n**j, 0) + w
+        depth = min(e for e, c in at.items() if e > width and c % b)
+        m = sum(w * brute_series_mantissa(b, i, j, [n for n in members if i * n**j <= depth],
+                                          lambda n: 1, depth)
+                for w, i, j, members in parts)
+        assert (m < 0) == (result["sign"] == "-")
+        expected = {brute_digit_string(x // b ** (depth - width), b, width)
+                    for x in (abs(m) - 1, abs(m), abs(m) + 1)}
+        assert expected == {result["value_digits"][:width]}

@@ -147,6 +147,8 @@ PACKAGE_RECORDS = {
                                         "error_bound": Fraction(0)},
     "lacunary.series.DigitRendering": {"digits": ..., "uncertain": ...},
     "lacunary.series.LinearFormSpec": {"base": ..., "constant": ..., "terms": ...},
+    "lacunary.series.FormDigits": {"base": ..., "negative": ..., "integer": ...,
+                                   "fraction": ..., "mass": ...},
     "lacunary.forge.PrimeWitness": {"k": ..., "u": ..., "v": ..., "p": ..., "x": ...},
     "lacunary.forge.CongruenceSystem": {"i0": ..., "j0": ..., "window": ..., "d": ...,
                                         "h": ..., "witnesses": ..., "modulus": ...,

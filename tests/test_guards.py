@@ -61,7 +61,7 @@ GUARDS = {
     "form_base": (lambda: lc.LinearFormSpec(1, 0, ()), "base must be >= 2"),
     "series_base": (lambda: lc.eval_series(SPEC, 1, 5), "base must be >= 2"),
     "series_digits": (lambda: lc.eval_series(SPEC, 2, 0), "digits must be >= 1"),
-    "leading_count": (lambda: lc.leading_digits(FORM, 10, 0), "count must be >= 1"),
+    "leading_count": (lambda: lc.form_digits(FORM, 10).rendering(0), "count must be >= 1"),
     "gap_range": (lambda: lc.gap_scan(FORM, 5, 4), "need 1 <= range_start <= range_end"),
     "window_radius": (lambda: lc.exclusion_window_check(FORM, 10, 0), "radius must be >= 1"),
     "window_center": (lambda: lc.exclusion_window_check(FORM, 3, 3),

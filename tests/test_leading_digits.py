@@ -1,13 +1,12 @@
-"""`series.leading_digits`, the evaluation behind `lacunary digits`.
+"""`series.form_digits`, the evaluation behind `lacunary eval` and `lacunary digits`.
 
-It sums to the full scale only when a shallow value cannot certify the first
-`count` digits. Whatever it does, its answer must be the full evaluation's:
-the rendering of `eval_linear_form(form, digits)` to `count` digits, the sign
-of its mantissa and its error bound, or the same exception.
+It reads the digits from the members without a mantissa. Its answer must be
+the full evaluation's: the rendering of `eval_linear_form(form, digits)` to
+`count` digits, the sign of its mantissa and its error bound, or the same
+exception.
 """
 
-import json
-from pathlib import Path
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,16 +14,16 @@ from hypothesis import strategies as st
 
 from lacunary import series
 from lacunary.arith import BudgetExceeded
-from lacunary.cli import main
 from lacunary.series import (
     CoeffFn,
+    GUARD_DIGITS,
     LinearFormSpec,
     MAX_DIGITS,
     MissingCoefficient,
     SeriesSpec,
     eval_linear_form,
+    form_digits,
     fraction_sci,
-    leading_digits,
     render_digits,
 )
 from lacunary.sets import (
@@ -37,8 +36,6 @@ from lacunary.sets import (
     primes_in_ap,
     squarefree,
 )
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
 
 _SETS = (naturals(), primes(), squarefree(), primes_in_ap(4, 3), geometric(1, 2),
          geometric(3, 3), pell_x(2), pell_y(3, 2))
@@ -71,7 +68,7 @@ def series_specs(draw):
 def digit_jobs(draw):
     """(form, digits, count): any base that renders, a constant, 0-3 terms, or a
     pair of terms over the same exponents whose weights cancel; `count` often
-    far enough below `digits` for a shallow attempt."""
+    far below `digits`."""
     b = draw(st.integers(2, 36))
     terms = [(draw(st.integers(-3, 3)), draw(series_specs())) for _ in range(draw(st.integers(0, 3)))]
     if draw(st.booleans()):
@@ -99,60 +96,25 @@ def test_leading_digits_matches_the_full_evaluation(job):
         expected = _full(form, digits, count)
     except MissingCoefficient as exc:
         with pytest.raises(MissingCoefficient) as caught:
-            leading_digits(form, digits, count)
+            form_digits(form, digits)
         assert (str(caught.value), caught.value.coeff) == (str(exc), exc.coeff)
         return
-    rendering, negative, error = leading_digits(form, digits, count)
-    assert (rendering.digits, rendering.uncertain, negative, error) == expected
-    assert fraction_sci(error) == fraction_sci(expected[3])
-
-
-def _spied_digits(monkeypatch, tmp_path, name: str) -> tuple[list[int], dict]:
-    """The `digits` of every eval_series call while the golden spec `name`
-    runs through the command line, and the spec."""
-    calls = []
-    original = series.eval_series
-
-    def spy(spec, b, digits):
-        calls.append(digits)
-        return original(spec, b, digits)
-
-    monkeypatch.setattr(series, "eval_series", spy)
-    spec = GOLDEN / f"{name}.spec.json"
-    assert main(["digits", "--spec", str(spec), "--out", str(tmp_path / "report.json")]) == 0
-    return calls, json.loads(spec.read_text(encoding="utf-8"))
-
-
-def test_certified_deep_job_never_sums_at_the_full_scale(monkeypatch, tmp_path):
-    calls, spec = _spied_digits(monkeypatch, tmp_path, "digits_deep_pell")
-    assert calls == [2 * spec["count"]] * len(spec["terms"])
-
-
-def test_uncertified_job_falls_back_to_the_full_scale(monkeypatch, tmp_path):
-    calls, spec = _spied_digits(monkeypatch, tmp_path, "digits_shallow_fallback")
-    terms = len(spec["terms"])
-    assert calls == [2 * spec["count"]] * terms + [spec["digits"]] * terms
-
-
-def test_shallow_attempt_only_far_below_the_full_scale(monkeypatch):
-    calls = []
-    original = series.eval_series
-    monkeypatch.setattr(series, "eval_series",
-                        lambda spec, b, digits: calls.append(digits) or original(spec, b, digits))
-    form = LinearFormSpec(10, 0, ((1, SeriesSpec(1, 2, naturals(), CoeffFn.constant(1))),))
-    # 2 * count + GUARD_DIGITS is a quarter of digits + GUARD_DIGITS at count = 10
-    leading_digits(form, 128, 10)
-    leading_digits(form, 127, 10)
-    assert calls == [20, 127]
+    value = form_digits(form, digits)
+    rendering = value.rendering(count)
+    error = Fraction(value.mass, (form.base - 1) * form.base ** (digits + GUARD_DIGITS))
+    assert (rendering.digits, rendering.uncertain, value.negative, error) == expected
+    assert value.error_sci() == fraction_sci(expected[3])
 
 
 def test_cap_and_table_misses_come_before_any_summing(monkeypatch):
     calls = []
-    monkeypatch.setattr(series, "eval_series", lambda *args: calls.append(args))
+    original = series._members_through
+    monkeypatch.setattr(series, "_members_through",
+                        lambda spec, scale: calls.append(scale) or original(spec, scale))
     missing = SeriesSpec(1, 2, naturals(), CoeffFn("table", table={1: 1}))
     form = LinearFormSpec(3, 0, ((1, missing),))
     with pytest.raises(BudgetExceeded, match=f"digits = {MAX_DIGITS + 1} is above the cap"):
-        leading_digits(form, MAX_DIGITS + 1, 64)
-    with pytest.raises(MissingCoefficient, match="no entry for member 2"):
-        leading_digits(form, 10**5, 64)
+        form_digits(form, MAX_DIGITS + 1)
     assert calls == []
+    with pytest.raises(MissingCoefficient, match="no entry for member 2"):
+        form_digits(form, 10**5)

@@ -18,7 +18,7 @@ from lacunary.series import (
     MAX_DIGITS,
     SeriesSpec,
     _base_digits,
-    _pow5_bounds,
+    _pow_bounds,
     coefficient_at,
     eval_linear_form,
     eval_series,
@@ -517,7 +517,7 @@ def test_fraction_sci_at_deep_error_bounds(num, b, S):
 
 @pytest.mark.parametrize("k", [0, 1, 55, 56, 57, 1000, 99999, 3 * 10**5])
 def test_pow5_bounds_bracket_the_power(k):
-    lo, hi, t = _pow5_bounds(k)
+    lo, hi, t = _pow_bounds(5, k)
     assert max(lo, hi).bit_length() <= 128
     assert lo << t <= 5**k <= hi << t
     assert (hi - lo) * 2**100 < lo
